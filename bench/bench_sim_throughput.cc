@@ -2,9 +2,9 @@
  * @file
  * Microbenchmarks for the simulation substrate itself, on the
  * obs::BenchSuite harness: reference generation, functional cache
- * access, the cache-size sweep, the write-buffer drain loop, the
- * equivalence solver, and the full timing engine per stalling
- * feature.  These guard the usability of the harness (Figures 1
+ * access over a pre-materialized trace, the cache-size sweep, the
+ * write-buffer drain loop, the equivalence solver, and the full
+ * timing engine per stalling feature.  These guard the usability of the harness (Figures 1
  * and 3-5 re-simulate the six profiles at many operating points)
  * and feed the continuous-benchmark pipeline: every run writes
  * BENCH_sim_throughput.json for tools/perf_diff to gate and
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/sweep.hh"
@@ -33,6 +34,8 @@ namespace {
 
 constexpr std::uint64_t kGenBatch = 1u << 16;
 constexpr std::uint64_t kAccessBatch = 1u << 16;
+/** Materialized cache/access trace: 8 reps' worth, 8 MiB. */
+constexpr std::size_t kAccessTraceRefs = 8 * kAccessBatch;
 constexpr std::uint64_t kEngineRefs = 10000;
 
 void
@@ -83,6 +86,21 @@ registerGeneratorBenchmarks(obs::BenchSuite &suite)
     });
 }
 
+/**
+ * The working-set stream the cache/access cases replay.  It is
+ * materialized once (in the first, untimed warmup rep) so their
+ * timed loops cost SetAssocCache::access alone, not the generator.
+ */
+const std::vector<MemoryReference> &
+accessTrace()
+{
+    static const std::vector<MemoryReference> refs = [] {
+        WorkingSetGenerator gen(WorkingSetGenerator::Config{}, Rng(7));
+        return gen.drain(kAccessTraceRefs);
+    }();
+    return refs;
+}
+
 void
 registerCacheBenchmarks(obs::BenchSuite &suite)
 {
@@ -92,28 +110,32 @@ registerCacheBenchmarks(obs::BenchSuite &suite)
         config.assoc = assoc;
         config.lineBytes = 32;
 
-        // The cache and generator persist across reps so the
-        // stat-snapshot delta covers exactly the timed reps.
+        // The cache and the trace cursor persist across reps so
+        // the stat-snapshot delta covers exactly the timed reps and
+        // each rep continues the stream (wrapping at its end).
         auto cache = std::make_shared<SetAssocCache>(config);
         cache->setColdTracking(false);
-        auto gen = std::make_shared<WorkingSetGenerator>(
-            WorkingSetGenerator::Config{}, Rng(7));
+        auto cursor = std::make_shared<std::size_t>(0);
 
         const std::string name =
             "cache/access/assoc=" + std::to_string(assoc);
-        suite.add(name, [cache, gen,
+        suite.add(name, [cache, cursor,
                          line = config.lineBytes](
                             obs::BenchState &state) {
+            const std::vector<MemoryReference> &refs = accessTrace();
             state.setItems(kAccessBatch);
             state.setStatsProvider(
                 [cache, line](obs::StatRegistry &registry) {
                     cache->stats().registerStats(registry,
                                                  "cache", line);
                 });
+            std::size_t at = *cursor;
             for (std::uint64_t i = 0; i < kAccessBatch; ++i) {
-                auto outcome = cache->access(*gen->next());
+                auto outcome = cache->access(refs[at]);
                 obs::doNotOptimize(outcome);
+                at = at + 1 == refs.size() ? 0 : at + 1;
             }
+            *cursor = at;
         });
     }
 

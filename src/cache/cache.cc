@@ -156,6 +156,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
         std::countr_zero(static_cast<std::uint64_t>(
             config_.lineBytes)));
     lines_.resize(config_.numLines());
+    validWays_.resize(config_.assoc);
     replacement_ = ReplacementPolicy::create(config_);
 }
 
@@ -181,6 +182,17 @@ const SetAssocCache::Line &
 SetAssocCache::line(std::uint64_t set, std::uint32_t way) const
 {
     return lines_[set * config_.assoc + way];
+}
+
+std::uint32_t
+SetAssocCache::chooseVictim(std::uint64_t set)
+{
+    for (std::uint32_t w = 0; w < config_.assoc; ++w)
+        validWays_[w] = line(set, w).valid;
+    const std::uint32_t victim = replacement_->victim(set, validWays_);
+    UATM_ASSERT(victim < config_.assoc, "replacement returned way ",
+                victim, " >= assoc ", config_.assoc);
+    return victim;
 }
 
 std::optional<std::uint32_t>
@@ -257,13 +269,7 @@ SetAssocCache::access(const MemoryReference &ref)
     }
 
     // Choose a victim and fill.
-    std::vector<bool> valid(config_.assoc);
-    for (std::uint32_t w = 0; w < config_.assoc; ++w)
-        valid[w] = line(set, w).valid;
-    const std::uint32_t victim = replacement_->victim(set, valid);
-    UATM_ASSERT(victim < config_.assoc, "replacement returned way ",
-                victim, " >= assoc ", config_.assoc);
-
+    const std::uint32_t victim = chooseVictim(set);
     Line &slot = line(set, victim);
     if (slot.valid) {
         out.evictedValid = true;
@@ -320,14 +326,7 @@ SetAssocCache::installLine(Addr addr, bool dirty)
     if (findWay(set, laddr))
         return out; // already resident: nothing to do
 
-    std::vector<bool> valid(config_.assoc);
-    for (std::uint32_t w = 0; w < config_.assoc; ++w)
-        valid[w] = line(set, w).valid;
-    const std::uint32_t victim = replacement_->victim(set, valid);
-    UATM_ASSERT(victim < config_.assoc,
-                "replacement returned way ", victim,
-                " >= assoc ", config_.assoc);
-
+    const std::uint32_t victim = chooseVictim(set);
     Line &slot = line(set, victim);
     if (slot.valid) {
         out.evictedValid = true;

@@ -214,6 +214,8 @@ class SetAssocCache
     std::uint64_t setMask_;
     std::uint32_t lineShift_;
     std::vector<Line> lines_; ///< [set * assoc + way]
+    /** Reused by every chooseVictim() call; sized assoc once. */
+    std::vector<bool> validWays_;
     std::unique_ptr<ReplacementPolicy> replacement_;
     CacheStats stats_;
     bool trackCold_ = true;
@@ -223,6 +225,9 @@ class SetAssocCache
     Addr lineAddr(Addr addr) const;
     Line &line(std::uint64_t set, std::uint32_t way);
     const Line &line(std::uint64_t set, std::uint32_t way) const;
+
+    /** Replacement's victim way in @p set (invalid ways first). */
+    std::uint32_t chooseVictim(std::uint64_t set);
 
     /** Way holding @p addr in @p set, if any. */
     std::optional<std::uint32_t> findWay(std::uint64_t set,

@@ -22,26 +22,37 @@ EventTracer::EventTracer(std::size_t capacity)
 }
 
 void
+EventTracer::setEnabled(bool enabled)
+{
+    if (enabled && ring_.size() != capacity_)
+        ring_.assign(capacity_, TraceEvent{});
+    enabled_ = enabled;
+}
+
+void
 EventTracer::setCapacity(std::size_t capacity)
 {
     UATM_ASSERT(capacity >= 1, "tracer needs at least one slot");
-    ring_.assign(capacity, TraceEvent{});
+    capacity_ = capacity;
+    // Release a ring of the old size; enabling reallocates.
+    std::vector<TraceEvent>().swap(ring_);
     head_ = 0;
     recorded_ = 0;
+    if (enabled_)
+        ring_.assign(capacity_, TraceEvent{});
 }
 
 std::size_t
 EventTracer::size() const
 {
-    return recorded_ < ring_.size()
-               ? static_cast<std::size_t>(recorded_)
-               : ring_.size();
+    return recorded_ < capacity_ ? static_cast<std::size_t>(recorded_)
+                                 : capacity_;
 }
 
 std::uint64_t
 EventTracer::dropped() const
 {
-    return recorded_ < ring_.size() ? 0 : recorded_ - ring_.size();
+    return recorded_ < capacity_ ? 0 : recorded_ - capacity_;
 }
 
 const char *
@@ -73,10 +84,9 @@ EventTracer::events() const
     out.reserve(n);
     // Oldest event: at index 0 until the ring wraps, then at head_
     // (the next slot to be overwritten).
-    const std::size_t oldest =
-        recorded_ < ring_.size() ? 0 : head_;
+    const std::size_t oldest = recorded_ < capacity_ ? 0 : head_;
     for (std::size_t i = 0; i < n; ++i)
-        out.push_back(ring_[(oldest + i) % ring_.size()]);
+        out.push_back(ring_[(oldest + i) % capacity_]);
     return out;
 }
 

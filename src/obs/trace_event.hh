@@ -14,7 +14,10 @@
  * single bool — cheap enough to leave call sites unconditional in
  * the engine's hot loop.  When enabled, recording is a handful of
  * stores into preallocated storage (wraparound overwrites the
- * oldest events; the drop count is reported in the export).
+ * oldest events; the drop count is reported in the export).  The
+ * ring is allocated on the first setEnabled(true), not at
+ * construction, so a process that never traces never pays for
+ * (or touches) the default 1 Mi-event ring.
  *
  * The process-wide tracer in globalTracer() arms itself from the
  * environment: set UATM_TRACE=<path> and every binary that drives
@@ -61,11 +64,17 @@ class EventTracer
     explicit EventTracer(std::size_t capacity = kDefaultCapacity);
 
     bool enabled() const { return enabled_; }
-    void setEnabled(bool enabled) { enabled_ = enabled; }
 
-    /** Resize the ring; discards any buffered events. */
+    /** Enabling allocates the ring if it is not allocated yet. */
+    void setEnabled(bool enabled);
+
+    /** Resize the ring; discards any buffered events.  While
+     *  disabled only the size is recorded; setEnabled(true)
+     *  allocates it. */
     void setCapacity(std::size_t capacity);
-    std::size_t capacity() const { return ring_.size(); }
+
+    /** The configured ring size, allocated or not. */
+    std::size_t capacity() const { return capacity_; }
 
     /** Record one interval; inline no-op while disabled. */
     void
@@ -153,7 +162,9 @@ class EventTracer
     bool writeChromeJson(const std::string &path) const;
 
   private:
+    /** capacity_ slots once enabled; empty until then. */
     std::vector<TraceEvent> ring_;
+    std::size_t capacity_ = 0;
     std::size_t head_ = 0;        ///< next write position
     std::uint64_t recorded_ = 0;
     bool enabled_ = false;

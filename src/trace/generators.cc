@@ -242,11 +242,11 @@ PointerChaseGenerator::fillBatch(MemoryReference *out,
 
 WorkingSetGenerator::WorkingSetGenerator(const Config &config, Rng rng)
     : config_(config), rng_(rng), initialRng_(rng),
+      // These two assert depth >= 1 and decay in (0, 1).
+      stack_(config.stackDepth),
+      distance_(config.stackDepth, config.decay),
       nextFresh_(config.base)
 {
-    UATM_ASSERT(config_.stackDepth >= 1, "stack depth must be >= 1");
-    UATM_ASSERT(config_.decay > 0.0 && config_.decay < 1.0,
-                "decay must be in (0, 1)");
     UATM_ASSERT(config_.coldFraction >= 0.0 &&
                 config_.coldFraction <= 1.0,
                 "cold fraction must be a probability");
@@ -256,14 +256,14 @@ WorkingSetGenerator::WorkingSetGenerator(const Config &config, Rng rng)
 void
 WorkingSetGenerator::seedStack()
 {
+    // Block i of the initial working set sits at rank i.
     stack_.clear();
-    stack_.reserve(config_.stackDepth);
     nextFresh_ = config_.base;
     for (std::size_t i = 0; i < config_.stackDepth; ++i) {
-        stack_.push_back(nextFresh_);
+        stack_.pushBottom(nextFresh_);
         nextFresh_ += config_.blockBytes;
     }
-    lastNew_ = stack_.back();
+    lastNew_ = stack_.at(stack_.size() - 1);
 }
 
 Addr
@@ -284,30 +284,20 @@ WorkingSetGenerator::takeNewBlock()
     return block;
 }
 
-void
-WorkingSetGenerator::touch(Addr block)
-{
-    // Move-to-front; evict from the bottom when over capacity.
-    auto it = std::find(stack_.begin(), stack_.end(), block);
-    if (it != stack_.end())
-        stack_.erase(it);
-    stack_.insert(stack_.begin(), block);
-    if (stack_.size() > config_.stackDepth)
-        stack_.pop_back();
-}
-
 std::optional<MemoryReference>
 WorkingSetGenerator::next()
 {
     Addr block;
-    if (rng_.nextBool(config_.coldFraction) || stack_.empty()) {
+    if (rng_.nextBool(config_.coldFraction)) {
+        // A "new" block can still be on the stack (a sequential
+        // step onto a seeded block), so look it up by key.
         block = takeNewBlock();
+        stack_.touch(block);
     } else {
-        const std::size_t dist =
-            rng_.nextStackDistance(stack_.size(), config_.decay);
-        block = stack_[dist];
+        const std::size_t dist = distance_.sample(rng_);
+        block = stack_.at(dist);
+        stack_.promote(dist);
     }
-    touch(block);
 
     MemoryReference ref;
     const std::uint64_t words =

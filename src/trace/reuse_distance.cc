@@ -104,32 +104,20 @@ ReuseProfile::measure(TraceSource &source, std::uint64_t refs,
     ReuseProfile profile;
     profile.weights.assign(max_depth, 0.0);
 
-    std::vector<Addr> stack;
+    // Lines deeper than the profile can describe fold into cold
+    // anyway, so a max_depth stack (and scan) is enough.
+    LruStack stack(max_depth);
     std::uint64_t seen = 0;
     for (; seen < refs; ++seen) {
         const auto ref = source.next();
         if (!ref)
             break;
-        const Addr line = ref->addr / line_bytes;
-        const auto it =
-            std::find(stack.begin(), stack.end(), line);
-        if (it == stack.end()) {
+        const std::size_t distance =
+            stack.touch(ref->addr / line_bytes);
+        if (distance == LruStack::npos)
             profile.coldWeight += 1.0;
-            stack.insert(stack.begin(), line);
-        } else {
-            const auto distance = static_cast<std::size_t>(
-                it - stack.begin());
-            if (distance < max_depth)
-                profile.weights[distance] += 1.0;
-            else
-                profile.coldWeight += 1.0;
-            stack.erase(it);
-            stack.insert(stack.begin(), line);
-        }
-        // Lines deeper than the profile can describe fold into
-        // cold anyway; keep the stack (and the scan) bounded.
-        if (stack.size() > max_depth)
-            stack.pop_back();
+        else
+            profile.weights[distance] += 1.0;
     }
     if (seen == 0)
         return Status::invalidArgument(
@@ -195,6 +183,9 @@ ReuseProfile::fromJsonText(std::string_view text)
 ReuseDistanceWorkload::ReuseDistanceWorkload(const Config &config,
                                              Rng rng)
     : config_(config), rng_(rng), initialRng_(rng),
+      // An empty profile must reach validate() below and throw,
+      // not trip the stack's capacity assertion first.
+      stack_(std::max<std::size_t>(config.profile.depth(), 1)),
       nextFreshLine_(config.base / config.lineBytes)
 {
     okOrThrow(config_.profile.validate());
@@ -218,7 +209,6 @@ ReuseDistanceWorkload::ReuseDistanceWorkload(const Config &config,
         sum += w;
         cdf_.push_back(sum);
     }
-    stack_.reserve(config_.profile.weights.size());
 }
 
 std::uint64_t
@@ -240,15 +230,11 @@ ReuseDistanceWorkload::next()
         // Cold draw, or a reuse deeper than the stack currently
         // holds (only possible during warmup): a fresh line.
         line = takeLine();
+        stack_.push(line);
     } else {
-        const std::size_t distance = slot - 1;
-        line = stack_[distance];
-        stack_.erase(stack_.begin() +
-                     static_cast<std::ptrdiff_t>(distance));
+        line = stack_.at(slot - 1);
+        stack_.promote(slot - 1);
     }
-    stack_.insert(stack_.begin(), line);
-    if (stack_.size() > config_.profile.weights.size())
-        stack_.pop_back();
 
     const std::uint32_t slots =
         config_.lineBytes / config_.accessSize;

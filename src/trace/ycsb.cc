@@ -5,8 +5,11 @@
 
 #include "trace/ycsb.hh"
 
+#include <array>
 #include <cctype>
 #include <cmath>
+#include <cstring>
+#include <mutex>
 
 #include "util/logging.hh"
 
@@ -24,6 +27,54 @@ zetaSum(std::uint64_t n, double theta)
     return sum;
 }
 
+/**
+ * zetaSum() memoized for the whole process.  Every point and every
+ * runner shard rebuilds its YCSB source, and a 100k-record zeta is
+ * ~2 ms of pow() calls, while a sweep uses a handful of distinct
+ * (items, theta) pairs.  Keyed on the exact bits of theta; the
+ * summation itself is untouched, so a hit returns the very value a
+ * recomputation would.  Runner workers build sources concurrently,
+ * hence the mutex; the sum runs outside it.
+ */
+double
+memoizedZetaSum(std::uint64_t n, double theta)
+{
+    struct Entry
+    {
+        std::uint64_t items;
+        std::uint64_t thetaBits;
+        double zeta;
+    };
+    static constexpr std::size_t kSlots = 16;
+    static std::mutex mutex;
+    static std::array<Entry, kSlots> table;
+    static std::size_t filled = 0;
+    static std::size_t nextVictim = 0;
+
+    std::uint64_t theta_bits = 0;
+    std::memcpy(&theta_bits, &theta, sizeof theta_bits);
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        for (std::size_t i = 0; i < filled; ++i) {
+            if (table[i].items == n && table[i].thetaBits == theta_bits)
+                return table[i].zeta;
+        }
+    }
+    const double zeta = zetaSum(n, theta);
+    const std::lock_guard<std::mutex> lock(mutex);
+    // Round-robin replacement once full; a racing duplicate insert
+    // only wastes a slot.
+    std::size_t slot;
+    if (filled < kSlots) {
+        slot = filled++;
+    } else {
+        slot = nextVictim;
+        nextVictim = (nextVictim + 1) % kSlots;
+    }
+    table[slot] = Entry{n, theta_bits, zeta};
+    return zeta;
+}
+
 /** FNV-1a over the 8 bytes of @p key, to scatter zipfian ranks. */
 std::uint64_t
 fnv64(std::uint64_t key)
@@ -39,7 +90,8 @@ fnv64(std::uint64_t key)
 } // namespace
 
 ZipfianSampler::ZipfianSampler(std::uint64_t items, double theta)
-    : items_(items), theta_(theta), zetan_(zetaSum(items, theta))
+    : items_(items), theta_(theta),
+      zetan_(memoizedZetaSum(items, theta))
 {
     UATM_ASSERT(items_ > 0, "zipfian sampler needs >= 1 item");
     UATM_ASSERT(theta_ >= 0.0 && theta_ < 1.0,

@@ -240,6 +240,58 @@ TEST(EventTracer, SetCapacityResizesRing)
     EXPECT_EQ(tracer.size(), 0u);
 }
 
+TEST(EventTracer, DisabledLargeRingReportsCapacityWithNoEvents)
+{
+    // The ring is allocated on enable; until then every accessor
+    // works on the configured size alone.
+    obs::EventTracer tracer(obs::EventTracer::kDefaultCapacity);
+    EXPECT_EQ(tracer.capacity(), obs::EventTracer::kDefaultCapacity);
+    EXPECT_EQ(tracer.size(), 0u);
+    EXPECT_EQ(tracer.dropped(), 0u);
+    EXPECT_TRUE(tracer.events().empty());
+    EXPECT_NE(tracer.toChromeJson().find("\"events_recorded\":0"),
+              std::string::npos);
+}
+
+TEST(EventTracer, EventsRecordedAfterLateEnableComeBack)
+{
+    obs::EventTracer tracer(4);
+    tracer.record("early", "cat", 0, 1); // disabled: dropped
+    tracer.setEnabled(true);
+    for (std::uint64_t i = 0; i < 5; ++i)
+        tracer.record("late", "cat", i, 1);
+    EXPECT_EQ(tracer.size(), 4u);
+    EXPECT_EQ(tracer.dropped(), 1u);
+    const auto events = tracer.events();
+    ASSERT_EQ(events.size(), 4u);
+    EXPECT_EQ(events[0].start, 1u);
+    EXPECT_EQ(events[3].start, 4u);
+    // Suspending and re-arming keeps the buffered events.
+    tracer.setEnabled(false);
+    tracer.setEnabled(true);
+    EXPECT_EQ(tracer.events().size(), 4u);
+}
+
+TEST(EventTracer, SetCapacityWhileDisabledTakesEffectOnEnable)
+{
+    obs::EventTracer tracer(2);
+    tracer.setEnabled(true);
+    tracer.record("e", "cat", 0, 1);
+    tracer.setEnabled(false);
+    tracer.setCapacity(3);
+    EXPECT_EQ(tracer.capacity(), 3u);
+    EXPECT_EQ(tracer.size(), 0u);
+    EXPECT_TRUE(tracer.events().empty());
+    tracer.setEnabled(true);
+    for (std::uint64_t i = 0; i < 3; ++i)
+        tracer.record("e", "cat", i, 1);
+    EXPECT_EQ(tracer.size(), 3u);
+    EXPECT_EQ(tracer.dropped(), 0u);
+    tracer.record("e", "cat", 3, 1);
+    EXPECT_EQ(tracer.dropped(), 1u);
+    EXPECT_EQ(tracer.events().front().start, 1u);
+}
+
 TEST(EventTracer, ChromeJsonIsWellFormed)
 {
     obs::EventTracer tracer(8);

@@ -1,18 +1,23 @@
 /**
  * @file
  * Unit tests for the trace substrate: reference records, the trace
- * container, source adaptors, file formats and the profiler.
+ * container, source adaptors, batch pulling, file formats, the
+ * profiler and the LRU recency stack.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "trace/io.hh"
+#include "trace/lru_stack.hh"
 #include "trace/ref.hh"
 #include "trace/source.hh"
 #include "trace/trace_stats.hh"
+#include "util/random.hh"
 
 namespace uatm {
 namespace {
@@ -340,6 +345,98 @@ TEST(WorkloadProfile, FormatMentionsName)
     profile.add(makeRef(RefKind::Load, 0));
     EXPECT_NE(profile.format("myworkload").find("myworkload"),
               std::string::npos);
+}
+
+// ------------------------------------------------------------ BatchPump
+
+TEST(BatchPump, SplitsAtExactCountsAndStopsWhenDry)
+{
+    std::vector<MemoryReference> refs;
+    for (Addr a = 0; a < 5000; ++a)
+        refs.push_back(makeRef(RefKind::Load, a * 4));
+    Trace trace(refs);
+    BatchPump batches(trace);
+    std::vector<Addr> seen;
+    const auto collect = [&seen](const MemoryReference *batch,
+                                 std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i)
+            seen.push_back(batch[i].addr);
+    };
+    batches.pump(3000, collect);
+    EXPECT_EQ(seen.size(), 3000u);
+    batches.pump(9000, collect); // runs dry at 5000
+    ASSERT_EQ(seen.size(), 5000u);
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        ASSERT_EQ(seen[i], i * 4);
+    trace.reset();
+    batches.pump(20000, collect); // dry stays dry
+    EXPECT_EQ(seen.size(), 5000u);
+}
+
+// ------------------------------------------------------------- LruStack
+
+TEST(LruStack, TouchPromotesHitsAndPushesMisses)
+{
+    LruStack stack(3);
+    EXPECT_EQ(stack.touch(10), LruStack::npos);
+    EXPECT_EQ(stack.touch(20), LruStack::npos);
+    EXPECT_EQ(stack.touch(30), LruStack::npos); // [30 20 10]
+    EXPECT_TRUE(stack.full());
+    EXPECT_EQ(stack.touch(10), 2u);             // [10 30 20]
+    EXPECT_EQ(stack.at(0), 10u);
+    EXPECT_EQ(stack.at(2), 20u);
+    EXPECT_EQ(stack.touch(40), LruStack::npos); // evicts 20
+    EXPECT_EQ(stack.size(), 3u);
+    EXPECT_EQ(stack.at(0), 40u);
+    EXPECT_EQ(stack.at(1), 10u);
+    EXPECT_EQ(stack.at(2), 30u);
+    EXPECT_EQ(stack.touch(20), LruStack::npos);
+}
+
+TEST(LruStack, PromoteAndPushBottomKeepRankOrder)
+{
+    LruStack stack(4);
+    for (LruStack::Key k : {1, 2, 3, 4})
+        stack.pushBottom(k); // [1 2 3 4]
+    stack.promote(2);        // [3 1 2 4]
+    EXPECT_EQ(stack.at(0), 3u);
+    EXPECT_EQ(stack.at(1), 1u);
+    EXPECT_EQ(stack.at(2), 2u);
+    EXPECT_EQ(stack.at(3), 4u);
+    stack.promote(0);        // no-op
+    EXPECT_EQ(stack.at(0), 3u);
+    stack.push(9);           // [9 3 1 2], 4 evicted
+    EXPECT_EQ(stack.at(0), 9u);
+    EXPECT_EQ(stack.at(3), 2u);
+    stack.clear();
+    EXPECT_EQ(stack.size(), 0u);
+}
+
+TEST(LruStack, MatchesTheFindEraseInsertModel)
+{
+    // The move-to-front vector every stack-distance model used to
+    // hand-roll; the primitive must agree with it step for step.
+    for (std::size_t capacity : {1u, 7u, 64u}) {
+        LruStack stack(capacity);
+        std::vector<LruStack::Key> model;
+        Rng rng(capacity);
+        for (int step = 0; step < 20000; ++step) {
+            const LruStack::Key key = rng.nextBelow(capacity * 2);
+            const auto it = std::find(model.begin(), model.end(), key);
+            std::size_t expect = LruStack::npos;
+            if (it != model.end()) {
+                expect = static_cast<std::size_t>(it - model.begin());
+                model.erase(it);
+            }
+            model.insert(model.begin(), key);
+            if (model.size() > capacity)
+                model.pop_back();
+            ASSERT_EQ(stack.touch(key), expect) << "step " << step;
+            ASSERT_EQ(stack.size(), model.size());
+            for (std::size_t r = 0; r < model.size(); ++r)
+                ASSERT_EQ(stack.at(r), model[r]);
+        }
+    }
 }
 
 } // namespace

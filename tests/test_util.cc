@@ -100,9 +100,10 @@ TEST(Rng, NextBoolMatchesProbability)
 TEST(Rng, StackDistanceFavoursTop)
 {
     Rng rng(13);
+    const TruncatedGeometricSampler distance(16, 0.7);
     std::vector<int> counts(16, 0);
     for (int i = 0; i < 40000; ++i)
-        ++counts[rng.nextStackDistance(16, 0.7)];
+        ++counts[distance.sample(rng)];
     // Geometric decay: index 0 strictly dominates index 4.
     EXPECT_GT(counts[0], counts[4]);
     EXPECT_GT(counts[1], counts[8]);
@@ -111,8 +112,33 @@ TEST(Rng, StackDistanceFavoursTop)
 TEST(Rng, StackDistanceWithinBound)
 {
     Rng rng(17);
+    const TruncatedGeometricSampler distance(5, 0.99);
     for (int i = 0; i < 1000; ++i)
-        EXPECT_LT(rng.nextStackDistance(5, 0.99), 5u);
+        EXPECT_LT(distance.sample(rng), 5u);
+}
+
+TEST(Rng, StackDistanceSamplerMatchesThePerDrawFormula)
+{
+    // Caching 1 - decay^n and log(decay) must not move a single
+    // draw relative to recomputing both on every call.
+    for (const auto &[n, decay] :
+         {std::pair<std::size_t, double>{1, 0.5}, {16, 0.7},
+          {512, 0.99}, {4000, 0.999}}) {
+        const TruncatedGeometricSampler distance(n, decay);
+        Rng cached(29);
+        Rng fresh(29);
+        for (int i = 0; i < 5000; ++i) {
+            const double total =
+                1.0 - std::pow(decay, static_cast<double>(n));
+            const double u = fresh.nextDouble() * total;
+            auto idx = static_cast<std::size_t>(
+                std::log(1.0 - u) / std::log(decay));
+            if (idx >= n)
+                idx = n - 1;
+            ASSERT_EQ(distance.sample(cached), idx)
+                << "n=" << n << " decay=" << decay << " draw " << i;
+        }
+    }
 }
 
 TEST(Rng, WeightedRespectsWeights)

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "trace/ycsb.hh"
@@ -94,6 +95,26 @@ TEST(ZipfianSampler, GrownDomainMatchesAFreshSampler)
     Rng rng_b(3);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(grown.next(rng_a), fresh.next(rng_b));
+}
+
+TEST(ZipfianSampler, MemoizedZetaIsKeyedOnItemsAndTheta)
+{
+    // zeta(items, theta) is memoized for the whole process.  Domains
+    // that share a size or a skew must not share a sum: each fresh
+    // sampler must draw exactly like one grown to the same size,
+    // whose sum is the smaller domain's plus one term.
+    const std::pair<std::uint64_t, double> domains[] = {
+        {4321, 0.5}, {4321, 0.9}, {4322, 0.9}, {4322, 0.5}};
+    for (const auto &[items, theta] : domains) {
+        ZipfianSampler fresh(items, theta);
+        ZipfianSampler grown(items - 1, theta);
+        grown.grow();
+        Rng rng_a(5);
+        Rng rng_b(5);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(fresh.next(rng_a), grown.next(rng_b))
+                << items << " items, theta " << theta;
+    }
 }
 
 // ----------------------------------------------------- mix parsing
