@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common.hh"
+#include "exp/kernel.hh"
 #include "exp/report.hh"
 #include "exp/scenarios.hh"
 #include "obs/bench.hh"
@@ -54,17 +55,24 @@ benchSweep()
 }
 
 std::string
-sweepCsv(unsigned threads, bool telemetry = false,
-         exp::GeometrySweep::Engine engine =
-             exp::GeometrySweep::Engine::Auto)
+sweepCsv(unsigned threads, bool telemetry = false)
 {
     exp::RunnerOptions options;
     options.threads = threads;
     options.telemetry = telemetry;
     exp::Runner runner(options);
-    exp::GeometrySweep spec = benchSweep();
-    spec.engine = engine;
-    return exp::runGeometrySweep(spec, runner).renderCsv();
+    return exp::runGeometrySweep(benchSweep(), runner).renderCsv();
+}
+
+/** The brute-force reference: the `cache` kernel's per-point eval
+ *  alone, one simulation per grid point. */
+exp::ResultTable
+bruteSweep(exp::Runner &runner)
+{
+    const exp::Scenario scenario =
+        exp::makeGeometryScenario(benchSweep());
+    const exp::Kernel &kernel = *exp::findKernel("cache");
+    return runner.run(scenario, kernel.columns, kernel.eval);
 }
 
 /** $UATM_BENCH_OUT (default bench_out/), created if missing. */
@@ -162,9 +170,8 @@ run(int argc, char **argv)
             // Cross-engine gate: the single-pass stack engine
             // must merge byte-identically to brute-force
             // per-point simulation at every thread count.
-            if (sweepCsv(threads, false,
-                         exp::GeometrySweep::Engine::PerPoint) !=
-                serial) {
+            exp::Runner brute_runner(exp::RunnerOptions{threads});
+            if (bruteSweep(brute_runner).renderCsv() != serial) {
                 std::fprintf(stderr,
                              "FAIL: per-point sweep output at %u "
                              "threads differs from the "
@@ -173,9 +180,9 @@ run(int argc, char **argv)
                 return EXIT_FAILURE;
             }
         }
-        // The timing table below is only meaningful if the Auto
-        // engine really took the fast path: refuse to benchmark a
-        // silent fallback.
+        // The timing table below is only meaningful if the sweep
+        // really took the fast path: refuse to benchmark a silent
+        // fallback.
         resetSweepDispatchStats();
         sweepCsv(1);
         if (sweepDispatchCounters().fastPath == 0) {
@@ -216,13 +223,10 @@ run(int argc, char **argv)
     // (--require-speedup) against it.
     suite.add("sweep/geometry/brute/t1",
               [](obs::BenchState &state) {
-                  exp::GeometrySweep spec = benchSweep();
-                  spec.engine =
-                      exp::GeometrySweep::Engine::PerPoint;
+                  const exp::GeometrySweep spec = benchSweep();
                   state.setItems(spec.values.size() * spec.refs);
                   exp::Runner runner(exp::RunnerOptions{1});
-                  const auto table =
-                      exp::runGeometrySweep(spec, runner);
+                  const auto table = bruteSweep(runner);
                   obs::doNotOptimize(table.rows());
                   state.setThreads(1,
                                    runner.lastStats().threadsUsed);

@@ -106,23 +106,6 @@ GeometryHitSurface::cellIndex(std::uint64_t sets,
            static_cast<std::size_t>(way - grid_.assocs.begin());
 }
 
-bool
-GeometryHitSurface::has(std::uint64_t sets,
-                        std::uint32_t assoc) const
-{
-    return cellIndex(sets, assoc) < cells_.size();
-}
-
-const CacheStats &
-GeometryHitSurface::stats(std::uint64_t sets,
-                          std::uint32_t assoc) const
-{
-    const std::size_t index = cellIndex(sets, assoc);
-    UATM_ASSERT(index < cells_.size(), "geometry (", sets,
-                " sets, ", assoc, "-way) is not in the grid");
-    return cells_[index];
-}
-
 Expected<CacheStats>
 GeometryHitSurface::statsFor(const CacheConfig &config) const
 {

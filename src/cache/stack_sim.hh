@@ -22,9 +22,9 @@
  * line is dirty fully describes all grid geometries.
  *
  * The engine's results are bit-equal to running SetAssocCache per
- * geometry (see tests/test_random_validation.cc); sweepCacheSize
- * and exp::runGeometrySweep dispatch to it when the base config
- * qualifies (stackSimIneligibleReason()).
+ * geometry (see tests/test_random_validation.cc).  Its callers,
+ * the cache/sweep functions and the `cache` kernel's whole-sweep
+ * hook (exp/kernel.hh), decide through one planStackSim().
  */
 
 #ifndef UATM_CACHE_STACK_SIM_HH
@@ -86,13 +86,6 @@ class GeometryHitSurface
                        std::vector<CacheStats> cells);
 
     const GeometryGrid &grid() const { return grid_; }
-
-    /** True when (sets, assoc) is a cell of the grid. */
-    bool has(std::uint64_t sets, std::uint32_t assoc) const;
-
-    /** Stats of one grid cell; asserts the cell exists. */
-    const CacheStats &stats(std::uint64_t sets,
-                            std::uint32_t assoc) const;
 
     /** Stats of @p config's geometry; InvalidArgument when the
      *  config is invalid, mismatches the grid's line size or

@@ -5,9 +5,11 @@
 
 #include "cache/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <set>
+#include <utility>
 
-#include "cache/stack_sim.hh"
 #include "obs/profile.hh"
 #include "util/logging.hh"
 
@@ -57,6 +59,58 @@ noteSweepDispatch(bool fast_path, bool structural,
     }
 }
 
+std::optional<GeometryGrid>
+planStackSim(const std::vector<CacheConfig> &configs)
+{
+    UATM_ASSERT(!configs.empty(), "no geometry to plan");
+    const CacheConfig &first = configs.front();
+    for (const CacheConfig &config : configs) {
+        if (config.lineBytes != first.lineBytes ||
+            config.write != first.write ||
+            config.writeMiss != first.writeMiss) {
+            noteSweepDispatch(false, true, {});
+            return std::nullopt;
+        }
+    }
+    GeometryGrid grid;
+    grid.lineBytes = first.lineBytes;
+    grid.write = first.write;
+    std::set<std::pair<std::uint64_t, std::uint32_t>> cells;
+    for (const CacheConfig &config : configs) {
+        if (const char *reason = stackSimIneligibleReason(config)) {
+            noteSweepDispatch(false, false, reason);
+            return std::nullopt;
+        }
+        if (config.validate().ok()) {
+            grid.addConfig(config);
+            cells.emplace(config.numSets(), config.assoc);
+        }
+    }
+    if (grid.setCounts.empty()) {
+        noteSweepDispatch(false, false, "no geometry is valid");
+        return std::nullopt;
+    }
+    // Every set count's stacks are as deep as the widest way count,
+    // so one config's many sets next to another's many ways could
+    // cost far more memory than the configs (requests reach this).
+    const double widest =
+        *std::max_element(grid.assocs.begin(), grid.assocs.end());
+    double lines = 0.0;
+    double entries = 0.0;
+    for (const auto &[sets, assoc] : cells)
+        lines += double(sets) * assoc;
+    for (std::uint64_t sets : grid.setCounts)
+        entries += double(sets) * widest;
+    if (entries > 4.0 * lines) {
+        noteSweepDispatch(false, false,
+                          "the LRU stacks would need over 4 entries "
+                          "per simulated cache line");
+        return std::nullopt;
+    }
+    noteSweepDispatch(true, false, {});
+    return grid;
+}
+
 CacheRunResult
 runCacheSim(const CacheConfig &config, TraceSource &source,
             std::uint64_t refs, std::uint64_t warmup_refs)
@@ -99,21 +153,34 @@ runCacheSim(const CacheConfig &config, TraceSource &source,
 
 namespace {
 
-/** Shared body of the two geometry sweeps: vary one knob, rerun. */
+/** Shared body of the two geometry sweeps: vary one knob, price
+ *  every value in one pass if planStackSim allows, else rerun. */
 std::vector<SweepPoint>
 sweepGeometry(const CacheConfig &base, TraceSource &source,
               const std::vector<std::uint64_t> &values,
               std::uint64_t refs, std::uint64_t warmup_refs,
               void (*set)(CacheConfig &, std::uint64_t))
 {
+    if (values.empty())
+        return {};
+    std::vector<CacheConfig> configs(values.size(), base);
+    for (std::size_t i = 0; i < values.size(); ++i)
+        set(configs[i], values[i]);
+
+    const std::optional<GeometryGrid> grid = planStackSim(configs);
+    GeometryHitSurface surface;
+    if (grid)
+        surface = runStackSim(*grid, source, refs, warmup_refs);
+
     std::vector<SweepPoint> points;
     points.reserve(values.size());
-    for (std::uint64_t value : values) {
-        CacheConfig config = base;
-        set(config, value);
-        const auto run = runCacheSim(config, source, refs,
-                                     warmup_refs);
-        points.push_back(SweepPoint{value, run.hitRatio(),
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        CacheRunResult run;
+        if (grid)
+            run = {configs[i], okOrThrow(surface.statsFor(configs[i]))};
+        else
+            run = runCacheSim(configs[i], source, refs, warmup_refs);
+        points.push_back(SweepPoint{values[i], run.hitRatio(),
                                     run.missRatio(),
                                     run.flushRatio()});
     }
@@ -128,50 +195,10 @@ sweepCacheSize(const CacheConfig &base, TraceSource &source,
                std::uint64_t refs, std::uint64_t warmup_refs)
 {
     UATM_PROFILE_SCOPE("cache.sweep_size");
-    if (sizes.empty())
-        return {};
-    if (const char *reason = stackSimIneligibleReason(base)) {
-        noteSweepDispatch(false, false, reason);
-        return sweepGeometry(
-            base, source, sizes, refs, warmup_refs,
-            [](CacheConfig &config, std::uint64_t v) {
-                config.sizeBytes = v;
-            });
-    }
-
-    // Single-pass fast path: all points share line size and
-    // policies and differ only in set count, so one stack pass
-    // prices every size at once.  An invalid size throws the same
-    // StatusError the per-point path's cache constructor would.
-    GeometryGrid grid;
-    grid.lineBytes = base.lineBytes;
-    grid.write = base.write;
-    grid.writeMiss = base.writeMiss;
-    std::vector<CacheConfig> configs;
-    configs.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        CacheConfig config = base;
-        config.sizeBytes = size;
-        okOrThrow(config.validate());
-        grid.addConfig(config);
-        configs.push_back(config);
-    }
-    noteSweepDispatch(true, false, {});
-
-    const GeometryHitSurface surface =
-        runStackSim(grid, source, refs, warmup_refs);
-    std::vector<SweepPoint> points;
-    points.reserve(sizes.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const CacheRunResult run{
-            configs[i],
-            surface.stats(configs[i].numSets(),
-                          configs[i].assoc)};
-        points.push_back(SweepPoint{sizes[i], run.hitRatio(),
-                                    run.missRatio(),
-                                    run.flushRatio()});
-    }
-    return points;
+    return sweepGeometry(base, source, sizes, refs, warmup_refs,
+                         [](CacheConfig &config, std::uint64_t v) {
+                             config.sizeBytes = v;
+                         });
 }
 
 std::vector<SweepPoint>
@@ -180,10 +207,6 @@ sweepLineSize(const CacheConfig &base, TraceSource &source,
               std::uint64_t refs, std::uint64_t warmup_refs)
 {
     UATM_PROFILE_SCOPE("cache.sweep_line");
-    // Varying the line size changes the reference -> line mapping
-    // itself, which the stack reduction cannot share; the line
-    // axis is per-point by design, not a decline.
-    noteSweepDispatch(false, true, {});
     std::vector<std::uint64_t> values(line_sizes.begin(),
                                       line_sizes.end());
     return sweepGeometry(base, source, values, refs, warmup_refs,

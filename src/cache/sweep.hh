@@ -11,10 +11,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/stack_sim.hh"
 #include "trace/source.hh"
 
 namespace uatm {
@@ -57,12 +59,11 @@ struct SweepPoint
  * The source is reset before each run so every size sees the same
  * reference stream.
  *
- * When the base config qualifies (LRU + write-allocate, see
- * stackSimIneligibleReason), the whole sweep runs as ONE
- * stack-distance pass (cache/stack_sim) instead of one simulation
- * per size — bit-identical results, roughly one trace traversal.
- * A sweep that cannot take the fast path is never a silent
- * fallback: it logs the reason and bumps
+ * When planStackSim allows (LRU + write-allocate), the whole
+ * sweep runs as ONE stack-distance pass (cache/stack_sim) instead
+ * of one simulation per size — bit-identical results, roughly one
+ * trace traversal.  A sweep that cannot take the fast path is
+ * never a silent fallback: it logs the reason and bumps
  * sweepDispatchCounters().declined.
  */
 std::vector<SweepPoint>
@@ -89,14 +90,13 @@ struct SweepDispatchCounters
     /** Sweeps served by the single-pass stack engine. */
     std::uint64_t fastPath = 0;
 
-    /** Size-axis sweeps that qualified structurally but fell back
-     *  to per-point simulation — each decline is also logged with
+    /** Sweeps that could share one pass but fell back to
+     *  per-point simulation — each decline is also logged with
      *  its reason (never a silent fallback). */
     std::uint64_t declined = 0;
 
-    /** Sweeps that are per-point by design: the line axis (the
-     *  stack reduction fixes the line size) or an explicitly
-     *  forced per-point engine. */
+    /** Sweeps that are per-point by design: their points differ
+     *  in stream, line size or write policy (see planStackSim). */
     std::uint64_t perPoint = 0;
 };
 
@@ -106,11 +106,22 @@ SweepDispatchCounters sweepDispatchCounters();
 /** Zero the global dispatch counters (tests, benchmarks). */
 void resetSweepDispatchStats();
 
-/** Internal: bump one counter (used by the exp layer's sweeps so
- *  both dispatch sites share one tally).  @p reason, when
- *  non-empty, is logged for declined sweeps. */
+/** Internal: bump one counter (used by exp/kernel so every
+ *  dispatch site shares one tally).  @p reason, when non-empty,
+ *  is logged for declined sweeps. */
 void noteSweepDispatch(bool fast_path, bool structural,
                        const std::string &reason);
+
+/**
+ * The one stack-sim planner: the grid pricing every valid config of
+ * @p configs (non-empty, one reference stream) in one runStackSim
+ * pass, or nullopt.  Tallies the decision: differing line size or
+ * write policy is per-point by design; non-LRU, write-around, no
+ * valid config, or stacks over 4 entries per line of the distinct
+ * configs (a memory bound) is a logged decline.
+ */
+std::optional<GeometryGrid>
+planStackSim(const std::vector<CacheConfig> &configs);
 
 } // namespace uatm
 

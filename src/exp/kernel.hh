@@ -1,0 +1,63 @@
+/**
+ * @file
+ * The kernel registry, shared by offline scenarios and the daemon.
+ * Its one kernel, "cache", prices hit, miss and flush ratio of
+ * point.cache over point.workload.  The whole-sweep hook prices all
+ * of a scenario's points in one stack-sim pass when they share
+ * workload, refs and warm-up and planStackSim (cache/sweep.hh)
+ * allows; otherwise, and for a geometry that fails validate(), eval
+ * runs per point.  The pass runs on the first point priced, so an
+ * all-hit request to the daemon never pays for it.
+ */
+
+#ifndef UATM_EXP_KERNEL_HH
+#define UATM_EXP_KERNEL_HH
+
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "exp/runner.hh"
+#include "exp/scenario.hh"
+
+namespace uatm::exp {
+
+/** Decimal places of every ratio cell. */
+inline constexpr int kRatioPrecision = 6;
+
+struct Kernel
+{
+    std::string name; ///< request-facing name ("cache")
+
+    /** Point-key id ("cache/v1"): must change whenever the columns
+     *  or semantics do, or stale cache entries would alias them. */
+    std::string id;
+
+    std::vector<std::string> columns;
+
+    /** Prices one point on its own: the reference. */
+    Runner::Kernel eval;
+
+    /** Optional whole-sweep hook: the per-point kernel for one
+     *  scenario, pricing every point in one pass on its first
+     *  call.  Byte-identical to eval and safe to call from several
+     *  runner workers at once. */
+    std::function<Runner::Kernel(const Scenario &)> sweep;
+
+    /** The per-point kernel to run @p scenario with. */
+    Runner::Kernel
+    bind(const Scenario &scenario) const
+    {
+        return sweep ? sweep(scenario) : eval;
+    }
+};
+
+/** Kernel by name; nullptr when unknown. */
+const Kernel *findKernel(const std::string &name);
+
+/** Registered kernel names, for diagnostics. */
+std::vector<std::string> kernelNames();
+
+} // namespace uatm::exp
+
+#endif // UATM_EXP_KERNEL_HH

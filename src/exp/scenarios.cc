@@ -5,85 +5,22 @@
 
 #include "exp/scenarios.hh"
 
-#include <memory>
 #include <utility>
 
-#include "cache/stack_sim.hh"
+#include "exp/kernel.hh"
 #include "trace/generators.hh"
 #include "util/logging.hh"
 
 namespace uatm::exp {
 
-namespace {
-
-constexpr int kRatioPrecision = 6;
-
-const char *
-geometryAxisName(GeometrySweep::Axis axis)
-{
-    return axis == GeometrySweep::Axis::Size ? "size" : "line";
-}
-
-SweepPoint
-evalGeometryPoint(const Point &point, std::uint64_t value)
-{
-    auto source = okOrThrow(point.workload.make());
-    const auto run = runCacheSim(point.cache, *source, point.refs,
-                                 point.warmupRefs);
-    return SweepPoint{value, run.hitRatio(), run.missRatio(),
-                      run.flushRatio()};
-}
-
-std::vector<Cell>
-sweepPointCells(const SweepPoint &sample)
-{
-    return {Cell::num(sample.hitRatio, kRatioPrecision),
-            Cell::num(sample.missRatio, kRatioPrecision),
-            Cell::num(sample.flushRatio, kRatioPrecision)};
-}
-
-/** How runGeometrySweep decided to evaluate one sweep. */
-struct EnginePlan
-{
-    bool fast = false;
-    /** Per-point by design (line axis, forced engine), as opposed
-     *  to a declined fast path. */
-    bool structural = false;
-    std::string reason;
-};
-
-EnginePlan
-planGeometryEngine(const GeometrySweep &spec)
-{
-    EnginePlan plan;
-    if (spec.engine == GeometrySweep::Engine::PerPoint) {
-        plan.structural = true;
-        plan.reason = "engine forced to per-point";
-        return plan;
-    }
-    if (spec.axis == GeometrySweep::Axis::Line) {
-        plan.structural = true;
-        plan.reason = "the line axis varies the line size";
-        return plan;
-    }
-    if (const char *reason = stackSimIneligibleReason(spec.base)) {
-        plan.reason = reason;
-        return plan;
-    }
-    plan.fast = true;
-    return plan;
-}
-
-} // namespace
-
 Scenario
 makeGeometryScenario(const GeometrySweep &spec)
 {
     UATM_ASSERT(!spec.values.empty(), "geometry sweep has no values");
-    const char *axis = geometryAxisName(spec.axis);
+    const bool size_axis = spec.axis == GeometrySweep::Axis::Size;
+    const char *axis = size_axis ? "size" : "line";
     Scenario scenario(
-        spec.axis == GeometrySweep::Axis::Size ? "cache_size_sweep"
-                                               : "line_size_sweep",
+        size_axis ? "cache_size_sweep" : "line_size_sweep",
         "cache geometry sweep over the " + std::string(axis) +
             " axis");
     scenario.cache = spec.base;
@@ -96,7 +33,6 @@ makeGeometryScenario(const GeometrySweep &spec)
     for (std::uint64_t value : spec.values)
         values.push_back(static_cast<double>(value));
 
-    const bool size_axis = spec.axis == GeometrySweep::Axis::Size;
     scenario.sweep(axis, values,
                    [size_axis](Point &point, const AxisValue &v) {
                        if (size_axis)
@@ -113,83 +49,22 @@ ResultTable
 runGeometrySweep(const GeometrySweep &spec, Runner &runner,
                  std::vector<SweepPoint> *points)
 {
-    Scenario scenario = makeGeometryScenario(spec);
-    const std::string axis = geometryAxisName(spec.axis);
-
-    EnginePlan plan = planGeometryEngine(spec);
-    GeometryGrid grid;
-    std::unique_ptr<TraceSource> source;
-    if (plan.fast) {
-        auto made = spec.workload.make();
-        if (!made.ok()) {
-            // The per-point kernel reproduces the identical error
-            // row for every point, so decline rather than fail.
-            plan.fast = false;
-            plan.reason = "workload construction failed: " +
-                          made.status().message();
-        } else {
-            source = std::move(made).value();
-            grid.lineBytes = spec.base.lineBytes;
-            grid.write = spec.base.write;
-            grid.writeMiss = spec.base.writeMiss;
-            for (std::uint64_t value : spec.values) {
-                CacheConfig config = spec.base;
-                config.sizeBytes = value;
-                if (config.validate().ok())
-                    grid.addConfig(config);
-            }
-            if (grid.setCounts.empty()) {
-                plan.fast = false;
-                plan.reason = "no sweep value yields a valid "
-                              "geometry";
-            }
+    const Scenario scenario = makeGeometryScenario(spec);
+    const Kernel &kernel = *findKernel("cache");
+    ResultTable table =
+        runner.run(scenario, kernel.columns, kernel.bind(scenario));
+    if (points) {
+        // Cell::value() is the exact, unrounded ratio.
+        points->assign(table.rows(), SweepPoint{});
+        for (std::size_t row = 0; row < table.rows(); ++row) {
+            if (table.at(row, 1).isError())
+                continue;
+            (*points)[row] = SweepPoint{spec.values[row],
+                                        table.at(row, 1).value(),
+                                        table.at(row, 2).value(),
+                                        table.at(row, 3).value()};
         }
     }
-    if (!plan.fast && spec.engine == GeometrySweep::Engine::StackSim)
-        throw StatusError(Status::invalidArgument(
-            "geometry sweep cannot use the stack-sim engine: ",
-            plan.reason));
-    noteSweepDispatch(plan.fast, plan.structural, plan.reason);
-
-    std::vector<SweepPoint> samples(scenario.pointCount());
-    ResultTable table;
-    if (plan.fast) {
-        // One trace traversal prices every point; the sharded run
-        // below only looks results up, so any invalid point still
-        // fails with the same status the per-point kernel's cache
-        // constructor raises and the merged table stays
-        // byte-identical at every thread count.
-        const GeometryHitSurface surface =
-            runStackSim(grid, *source, spec.refs, spec.warmupRefs);
-        table = runner.run(
-            scenario, {"hit_ratio", "miss_ratio", "flush_ratio"},
-            [&axis, &samples, &surface](const Point &point) {
-                const auto value = static_cast<std::uint64_t>(
-                    okOrThrow(point.coord(axis)));
-                okOrThrow(point.cache.validate());
-                const CacheRunResult run{
-                    point.cache,
-                    surface.stats(point.cache.numSets(),
-                                  point.cache.assoc)};
-                const SweepPoint sample{value, run.hitRatio(),
-                                        run.missRatio(),
-                                        run.flushRatio()};
-                samples[point.index] = sample;
-                return sweepPointCells(sample);
-            });
-    } else {
-        table = runner.run(
-            scenario, {"hit_ratio", "miss_ratio", "flush_ratio"},
-            [&axis, &samples](const Point &point) {
-                const auto value = static_cast<std::uint64_t>(
-                    okOrThrow(point.coord(axis)));
-                SweepPoint sample = evalGeometryPoint(point, value);
-                samples[point.index] = sample;
-                return sweepPointCells(sample);
-            });
-    }
-    if (points)
-        *points = std::move(samples);
     return table;
 }
 
@@ -205,26 +80,6 @@ sweepCacheSizeParallel(const CacheConfig &base,
     spec.base = base;
     spec.workload = workload;
     spec.values = sizes;
-    spec.refs = refs;
-    spec.warmupRefs = warmup_refs;
-    Runner runner(RunnerOptions{threads});
-    std::vector<SweepPoint> points;
-    runGeometrySweep(spec, runner, &points);
-    return points;
-}
-
-std::vector<SweepPoint>
-sweepLineSizeParallel(const CacheConfig &base,
-                      const WorkloadSpec &workload,
-                      const std::vector<std::uint32_t> &line_sizes,
-                      std::uint64_t refs, std::uint64_t warmup_refs,
-                      unsigned threads)
-{
-    GeometrySweep spec;
-    spec.axis = GeometrySweep::Axis::Line;
-    spec.base = base;
-    spec.workload = workload;
-    spec.values.assign(line_sizes.begin(), line_sizes.end());
     spec.refs = refs;
     spec.warmupRefs = warmup_refs;
     Runner runner(RunnerOptions{threads});

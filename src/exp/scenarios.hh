@@ -8,7 +8,8 @@
  * Each experiment keeps its serial kernel in its home module
  * (cache/sweep, cpu/phi_measurement, core/tradeoff,
  * linesize/line_tradeoff); this layer only declares the grid and
- * shards it.  The *Parallel drop-ins return the same result types
+ * shards it (geometry sweeps through the exp/kernel `cache`
+ * kernel).  The *Parallel drop-ins return the same result types
  * as their serial counterparts and are bit-identical to them at
  * any thread count.
  */
@@ -40,38 +41,22 @@ struct GeometrySweep
         Line, ///< vary CacheConfig::lineBytes
     };
 
-    /**
-     * Which kernel evaluates the sweep.  Auto picks the
-     * single-pass stack-distance engine (cache/stack_sim) whenever
-     * the sweep qualifies — size axis, LRU, write-allocate — and
-     * logs + counts the fallback otherwise (never silent; see
-     * sweepDispatchCounters()).  The merged ResultTable is
-     * byte-identical between the two engines at any thread count.
-     */
-    enum class Engine : std::uint8_t
-    {
-        Auto,     ///< stack-sim when eligible, else per-point
-        StackSim, ///< require the fast path; throws if ineligible
-        PerPoint, ///< force one simulation per grid point
-    };
-
     Axis axis = Axis::Size;
     CacheConfig base;
     WorkloadSpec workload;
     std::vector<std::uint64_t> values;
     std::uint64_t refs = 100000;
     std::uint64_t warmupRefs = 0;
-    Engine engine = Engine::Auto;
 };
 
 /** The sweep as a declarative scenario (one axis). */
 Scenario makeGeometryScenario(const GeometrySweep &spec);
 
 /**
- * Run the sweep on @p runner.  Table columns: the axis ("size" or
- * "line") then hit_ratio / miss_ratio / flush_ratio.  When
- * @p points is non-null it also receives the raw SweepPoints, in
- * axis order.
+ * Run the sweep on @p runner with the `cache` kernel.  Table
+ * columns: the axis ("size" or "line") then hit_ratio /
+ * miss_ratio / flush_ratio.  When @p points is non-null it also
+ * receives the raw SweepPoints, in axis order (zero if failed).
  */
 ResultTable runGeometrySweep(const GeometrySweep &spec,
                              Runner &runner,
@@ -89,15 +74,6 @@ sweepCacheSizeParallel(const CacheConfig &base,
                        std::uint64_t refs,
                        std::uint64_t warmup_refs = 0,
                        unsigned threads = 0);
-
-/** Parallel drop-in for uatm::sweepLineSize. */
-std::vector<SweepPoint>
-sweepLineSizeParallel(const CacheConfig &base,
-                      const WorkloadSpec &workload,
-                      const std::vector<std::uint32_t> &line_sizes,
-                      std::uint64_t refs,
-                      std::uint64_t warmup_refs = 0,
-                      unsigned threads = 0);
 
 // ---------------------------------------------------------------
 // Stalling-factor measurement (Figure 1) over the six profiles.

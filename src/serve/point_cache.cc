@@ -115,7 +115,7 @@ PointCache::insertLocked(const std::string &key,
     }
     lru_.push_front(Entry{key, cells, entryBytes(key, cells)});
     residentBytes_ += lru_.front().bytes;
-    index_[key] = lru_.begin();
+    index_[lru_.front().key] = lru_.begin();
     while (lru_.size() > options_.capacity) {
         const Entry &victim = lru_.back();
         residentBytes_ -= victim.bytes;

@@ -28,6 +28,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -112,7 +113,8 @@ class PointCache
     PointCacheOptions options_;
     mutable std::mutex mutex_;
     LruList lru_; ///< front = most recently used
-    std::unordered_map<std::string, LruList::iterator> index_;
+    /** Views of each entry's own key (list nodes never move). */
+    std::unordered_map<std::string_view, LruList::iterator> index_;
     std::size_t residentBytes_ = 0;
     PointCacheCounters counters_;
 

@@ -191,7 +191,7 @@ Server::handleWorkloads()
     }
     json.endArray();
     json.key("kernels").beginArray();
-    for (const std::string &name : serveKernelNames())
+    for (const std::string &name : exp::kernelNames())
         json.value(name);
     json.endArray();
     json.key("axes").beginArray();

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <thread>
 
+#include "cache/sweep.hh"
 #include "exp/point_key.hh"
 #include "exp/runner.hh"
 
@@ -68,6 +69,20 @@ SweepService::registerStats()
         [this] { return double(pointsFailed_.load()); },
         "points degraded to typed error cells", "count");
     cache_.registerStats(serve.group("cache"));
+    // Which engine priced each sweep (process-wide tallies).
+    obs::StatGroup dispatch = serve.group("dispatch");
+    dispatch.addFormula(
+        "fast_path",
+        [] { return double(sweepDispatchCounters().fastPath); },
+        "sweeps priced by one stack-sim pass", "count");
+    dispatch.addFormula(
+        "declined",
+        [] { return double(sweepDispatchCounters().declined); },
+        "sweeps that fell back to per-point simulation", "count");
+    dispatch.addFormula(
+        "per_point",
+        [] { return double(sweepDispatchCounters().perPoint); },
+        "sweeps per-point by design", "count");
 
     // Histograms go last: the returned references live inside the
     // registry's entry table, which may reallocate on the next
@@ -116,20 +131,20 @@ SweepService::runSweep(const SweepRequest &request)
         ~Slot() { counter.fetch_sub(1); }
     } slot{inflight_};
 
-    const ServeKernel *kernel = findServeKernel(request.kernel);
+    const exp::Kernel *kernel = exp::findKernel(request.kernel);
     if (!kernel) {
         ++requestsFailed_;
-        std::string known;
-        for (const std::string &name : serveKernelNames())
-            known += (known.empty() ? "" : ", ") + name;
         return Status::notFound("unknown kernel '", request.kernel,
-                                "' (known: ", known, ")");
+                                "'");
     }
 
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> computed{0};
+    // Behind the cache: an all-hit request never runs the pass.
+    const exp::Runner::Kernel priced =
+        kernel->bind(request.scenario);
     const exp::Runner::Kernel cached =
-        [this, kernel, &hits,
+        [this, kernel, &priced, &hits,
          &computed](const exp::Point &point)
         -> Expected<std::vector<exp::Cell>> {
         const auto point_start = std::chrono::steady_clock::now();
@@ -145,7 +160,7 @@ SweepService::runSweep(const SweepRequest &request)
             pointNanos_->add(nanosSince(point_start));
             return *cells;
         }
-        auto cells = kernel->eval(point);
+        auto cells = priced(point);
         if (!cells.ok())
             return cells.status(); // failures are not cached
         cache_.insert(key.value(), cells.value());

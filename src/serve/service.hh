@@ -16,7 +16,8 @@
  *    (running + waiting)                   -> Unavailable (429).
  *
  * Each point is priced through the cache: canonical key (point_key)
- * -> lookup -> on miss, the kernel runs and the cells are inserted.
+ * -> lookup -> on miss, the kernel bound to the request prices it
+ * (exp::Kernel::bind) and the cells are inserted.
  * Key refusal (custom workload specs) and kernel failures become
  * per-point error Statuses — the Runner degrades them to typed
  * error cells, and failures are never cached.  Because keys are

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <map>
 
-#include "cache/sweep.hh"
 #include "cpu/stall_feature.hh"
 #include "obs/json.hh"
 
@@ -16,9 +15,15 @@ namespace uatm::serve {
 
 namespace {
 
-// Must match exp/scenarios.cc so a served geometry sweep renders
-// byte-identically to the offline one.
-constexpr int kRatioPrecision = 6;
+/** @p names as "a, b, c", for error messages. */
+std::string
+joined(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const std::string &name : names)
+        out += (out.empty() ? "" : ", ") + name;
+    return out;
+}
 
 Status
 typeError(const char *object, const std::string &field,
@@ -394,14 +399,9 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
 
     const auto it = axisRegistry().find(name);
     if (it == axisRegistry().end()) {
-        std::string known;
-        for (const std::string &axis : serveAxisNames()) {
-            if (!known.empty())
-                known += ", ";
-            known += axis;
-        }
         return Status::notFound("sweep request: unknown axis \"",
-                                name, "\" (known: ", known, ")");
+                                name, "\" (known: ",
+                                joined(serveAxisNames()), ")");
     }
     if (json.find("specs")) {
         return Status::parseError(
@@ -430,42 +430,6 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
 }
 
 } // namespace
-
-const ServeKernel *
-findServeKernel(const std::string &name)
-{
-    // The kernel's cells must stay byte-identical to the offline
-    // exp layer: same runCacheSim call, same Cell::num precision.
-    static const std::vector<ServeKernel> kKernels = {
-        {"cache", "cache/v1",
-         {"hit_ratio", "miss_ratio", "flush_ratio"},
-         [](const exp::Point &point)
-             -> Expected<std::vector<exp::Cell>> {
-             auto source = point.workload.make();
-             if (!source.ok())
-                 return source.status();
-             const auto run =
-                 runCacheSim(point.cache, *source.value(),
-                             point.refs, point.warmupRefs);
-             return std::vector<exp::Cell>{
-                 exp::Cell::num(run.hitRatio(), kRatioPrecision),
-                 exp::Cell::num(run.missRatio(), kRatioPrecision),
-                 exp::Cell::num(run.flushRatio(),
-                                kRatioPrecision)};
-         }},
-    };
-    for (const ServeKernel &kernel : kKernels) {
-        if (kernel.name == name)
-            return &kernel;
-    }
-    return nullptr;
-}
-
-std::vector<std::string>
-serveKernelNames()
-{
-    return {"cache"};
-}
 
 std::vector<std::string>
 serveAxisNames()
@@ -574,16 +538,10 @@ parseSweepRequest(std::string_view json)
         }
     }
 
-    if (!findServeKernel(request.kernel)) {
-        std::string known;
-        for (const std::string &kernel : serveKernelNames()) {
-            if (!known.empty())
-                known += ", ";
-            known += kernel;
-        }
+    if (!exp::findKernel(request.kernel)) {
         return Status::notFound(
             "sweep request: unknown kernel \"", request.kernel,
-            "\" (known: ", known, ")");
+            "\" (known: ", joined(exp::kernelNames()), ")");
     }
 
     // The scenario was default-constructed before name/description

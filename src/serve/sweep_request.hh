@@ -6,7 +6,8 @@
  * A request names a base machine (cache/memory/write-buffer/CPU
  * configs, every field optional over the library defaults), a
  * workload spec (the registered-method JSON from exp/workload_spec),
- * the swept axes, and the kernel that prices each point.  Axes are
+ * the swept axes, and the registered kernel (exp/kernel.hh) that
+ * prices each point.  Axes are
  * addressed by registered name ("cache.size", "memory.bus_width",
  * ...) so the server never evaluates caller-supplied code — the
  * applier is looked up, the values come from the request.  The
@@ -38,31 +39,15 @@
 #include <string_view>
 #include <vector>
 
-#include "exp/runner.hh"
+#include "exp/kernel.hh"
 #include "exp/scenario.hh"
 #include "util/status.hh"
 
 namespace uatm::serve {
 
-/**
- * One kernel the serve layer can run.  The id feeds the canonical
- * point key, so it must change whenever the kernel's columns or
- * semantics do ("cache/v1" -> "cache/v2"), or stale cache entries
- * would alias the new meaning.
- */
-struct ServeKernel
-{
-    std::string name;       ///< request-facing name ("cache")
-    std::string id;         ///< cache-key id ("cache/v1")
-    std::vector<std::string> columns;
-    exp::Runner::Kernel eval;
-};
-
-/** Kernel by request name; nullptr when unknown. */
-const ServeKernel *findServeKernel(const std::string &name);
-
-/** Registered kernel names, for diagnostics. */
-std::vector<std::string> serveKernelNames();
+/** Former serve-layer names of exp::Kernel, for perfbench/tool.cc. */
+using ServeKernel = exp::Kernel;
+inline constexpr auto &findServeKernel = exp::findKernel;
 
 /** Registered axis names ("cache.size", ..., "workload"). */
 std::vector<std::string> serveAxisNames();

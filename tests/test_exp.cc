@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "cache/sweep.hh"
+#include "exp/kernel.hh"
 #include "exp/result_table.hh"
 #include "exp/runner.hh"
 #include "exp/scenario.hh"
@@ -456,14 +457,30 @@ TEST(Scenarios, ParallelLineSweepMatchesSerial)
     auto source = Spec92Profile::make("wave5", 31);
     const auto serial =
         sweepLineSize(base, *source, lines, refs);
-    const auto parallel = sweepLineSizeParallel(
-        base, WorkloadSpec::spec92("wave5", 31), lines, refs, 0,
-        3);
+
+    GeometrySweep spec;
+    spec.axis = GeometrySweep::Axis::Line;
+    spec.base = base;
+    spec.workload = WorkloadSpec::spec92("wave5", 31);
+    spec.values.assign(lines.begin(), lines.end());
+    spec.refs = refs;
+    Runner runner(RunnerOptions{3});
+    std::vector<SweepPoint> parallel;
+    resetSweepDispatchStats();
+    runGeometrySweep(spec, runner, &parallel);
+    // Several line sizes cannot share one stack pass: per-point by
+    // design, never a logged decline.
+    const SweepDispatchCounters counters = sweepDispatchCounters();
+    EXPECT_EQ(counters.perPoint, 1u);
+    EXPECT_EQ(counters.declined, 0u);
+    resetSweepDispatchStats();
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].value, parallel[i].value);
+        EXPECT_EQ(serial[i].hitRatio, parallel[i].hitRatio);
         EXPECT_EQ(serial[i].missRatio, parallel[i].missRatio);
+        EXPECT_EQ(serial[i].flushRatio, parallel[i].flushRatio);
     }
 }
 
@@ -556,6 +573,16 @@ TEST(Scenarios, GeometryScenarioTablesByteIdenticalAcrossThreads)
 
 // ------------------------------------ stack-sim engine dispatch
 
+/** @p spec priced by the `cache` kernel's per-point eval alone. */
+std::string
+perPointCsv(const GeometrySweep &spec, Runner &runner)
+{
+    const Kernel &kernel = *findKernel("cache");
+    return runner
+        .run(makeGeometryScenario(spec), kernel.columns, kernel.eval)
+        .renderCsv();
+}
+
 TEST(Scenarios, StackSimAndPerPointEnginesAreByteIdentical)
 {
     GeometrySweep spec;
@@ -572,17 +599,11 @@ TEST(Scenarios, StackSimAndPerPointEnginesAreByteIdentical)
     resetSweepDispatchStats();
     std::string reference;
     for (unsigned threads : {1u, 2u, 8u}) {
-        GeometrySweep fast = spec;
-        fast.engine = GeometrySweep::Engine::Auto;
-        GeometrySweep brute = spec;
-        brute.engine = GeometrySweep::Engine::PerPoint;
-
         Runner fast_runner(RunnerOptions{threads});
         Runner brute_runner(RunnerOptions{threads});
         const std::string a =
-            runGeometrySweep(fast, fast_runner).renderCsv();
-        const std::string b =
-            runGeometrySweep(brute, brute_runner).renderCsv();
+            runGeometrySweep(spec, fast_runner).renderCsv();
+        const std::string b = perPointCsv(spec, brute_runner);
         EXPECT_EQ(a, b) << threads << " threads";
         EXPECT_NE(a.find("!invalid_argument"), std::string::npos)
             << a;
@@ -596,7 +617,7 @@ TEST(Scenarios, StackSimAndPerPointEnginesAreByteIdentical)
     }
     const SweepDispatchCounters counters = sweepDispatchCounters();
     EXPECT_EQ(counters.fastPath, 3u);
-    EXPECT_EQ(counters.perPoint, 3u);
+    EXPECT_EQ(counters.perPoint, 0u);
     EXPECT_EQ(counters.declined, 0u);
     resetSweepDispatchStats();
 }
@@ -613,40 +634,14 @@ TEST(Scenarios, DeclinedSweepFallsBackToIdenticalPerPointRun)
     spec.refs = 5000;
 
     resetSweepDispatchStats();
-    GeometrySweep brute = spec;
-    brute.engine = GeometrySweep::Engine::PerPoint;
     Runner a(RunnerOptions{2});
     Runner b(RunnerOptions{2});
     EXPECT_EQ(runGeometrySweep(spec, a).renderCsv(),
-              runGeometrySweep(brute, b).renderCsv());
+              perPointCsv(spec, b));
     const SweepDispatchCounters counters = sweepDispatchCounters();
     EXPECT_EQ(counters.declined, 1u); // logged, counted, not silent
-    EXPECT_EQ(counters.perPoint, 1u);
-    resetSweepDispatchStats();
-}
-
-TEST(Scenarios, ForcedStackSimThrowsWhenIneligible)
-{
-    GeometrySweep spec;
-    spec.axis = GeometrySweep::Axis::Size;
-    spec.base.replacement = ReplacementKind::FIFO;
-    spec.workload = WorkloadSpec::spec92("nasa7", 1);
-    spec.values = {4096, 8192};
-    spec.refs = 1000;
-    spec.engine = GeometrySweep::Engine::StackSim;
-
-    Runner runner(RunnerOptions{1});
-    EXPECT_THROW(runGeometrySweep(spec, runner), StatusError);
-
-    // The line axis is structurally per-point, so forcing the
-    // stack engine on it must also refuse.
-    GeometrySweep line;
-    line.axis = GeometrySweep::Axis::Line;
-    line.workload = WorkloadSpec::spec92("nasa7", 1);
-    line.values = {16, 32};
-    line.refs = 1000;
-    line.engine = GeometrySweep::Engine::StackSim;
-    EXPECT_THROW(runGeometrySweep(line, runner), StatusError);
+    EXPECT_EQ(counters.fastPath, 0u);
+    EXPECT_EQ(counters.perPoint, 0u);
     resetSweepDispatchStats();
 }
 

@@ -489,7 +489,10 @@ TEST_P(LruInclusion, HitsNondecreasingInAssocAtFixedSets)
         std::uint64_t previous = 0;
         for (std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
             const std::uint64_t hits =
-                surface.stats(sets, assoc).hits;
+                okOrThrow(surface.statsFor(CacheConfig{
+                              .sizeBytes = sets * assoc * 32,
+                              .assoc = assoc}))
+                    .hits;
             EXPECT_GE(hits, previous)
                 << sets << " sets, " << assoc << "-way";
             previous = hits;
@@ -520,7 +523,10 @@ TEST_P(LruInclusion, HitsNondecreasingInSizeAtFixedAssoc)
         std::uint64_t previous = 0;
         for (std::uint64_t sets : grid.setCounts) {
             const std::uint64_t hits =
-                surface.stats(sets, assoc).hits;
+                okOrThrow(surface.statsFor(CacheConfig{
+                              .sizeBytes = sets * assoc * 32,
+                              .assoc = assoc}))
+                    .hits;
             EXPECT_GE(hits, previous)
                 << sets << " sets, " << assoc << "-way";
             previous = hits;

@@ -146,6 +146,16 @@ synthConfig()
     return config;
 }
 
+/** Stats of the one-set (fully associative) @p assoc-way cache of
+ *  a surface over synthConfig()'s 32-byte lines. */
+CacheStats
+fullyAssociative(const GeometryHitSurface &surface,
+                 std::uint32_t assoc)
+{
+    return okOrThrow(surface.statsFor(
+        CacheConfig{.sizeBytes = assoc * 32ull, .assoc = assoc}));
+}
+
 TEST(ReuseDistanceWorkload, SynthesisRoundTripsTheProfile)
 {
     const auto config = synthConfig();
@@ -184,7 +194,7 @@ TEST(ReuseDistanceWorkload, StackSimSeesTheTargetHitRatios)
 
     for (std::uint32_t assoc : grid.assocs) {
         const double hit_ratio =
-            static_cast<double>(surface.stats(1, assoc).hits) /
+            static_cast<double>(fullyAssociative(surface, assoc).hits) /
             static_cast<double>(kRefs);
         EXPECT_NEAR(hit_ratio, config.profile.cdfAt(assoc), 0.03)
             << "assoc " << assoc;
@@ -219,7 +229,7 @@ TEST(ReuseDistanceWorkload, MeasureAndStackSimAgreeExactly)
             measured.value().cdfAt(assoc) *
             static_cast<double>(kRefs);
         EXPECT_NEAR(
-            static_cast<double>(surface.stats(1, assoc).hits),
+            static_cast<double>(fullyAssociative(surface, assoc).hits),
             expected_hits, 0.5)
             << "assoc " << assoc;
     }

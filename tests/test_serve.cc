@@ -3,8 +3,9 @@
  * Serving-layer tests: canonical point keys, the content-addressed
  * PointCache (memory + disk), the strict sweep-request parser, the
  * SweepService contracts (byte-identity across threads, engines
- * and cache states; admission control; per-point error isolation),
- * and the HTTP surface end-to-end over real sockets.
+ * and cache states; which engine prices a sweep; admission
+ * control; per-point error isolation), and the HTTP surface
+ * end-to-end over real sockets.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "cache/sweep.hh"
+#include "exp/kernel.hh"
 #include "exp/point_key.hh"
 #include "exp/runner.hh"
-#include "exp/scenarios.hh"
 #include "serve/http.hh"
 #include "serve/point_cache.hh"
 #include "serve/server.hh"
@@ -106,8 +108,7 @@ TEST(PointKey, EqualKeysImplyByteIdenticalCells)
     // grid points with the same content address.
     const auto points =
         smallScenario({4096, 8192, 4096}).expand();
-    const serve::ServeKernel *kernel =
-        serve::findServeKernel("cache");
+    const exp::Kernel *kernel = exp::findKernel("cache");
     ASSERT_NE(kernel, nullptr);
 
     std::vector<std::string> keys;
@@ -405,8 +406,7 @@ TEST(SweepService, MatchesTheOfflineRunner)
     // the same NDJSON.
     const auto request = serve::parseSweepRequest(kRequest);
     ASSERT_TRUE(request.ok());
-    const serve::ServeKernel *kernel =
-        serve::findServeKernel("cache");
+    const exp::Kernel *kernel = exp::findKernel("cache");
     ASSERT_NE(kernel, nullptr);
     exp::Runner runner(exp::RunnerOptions{1});
     const exp::ResultTable offline =
@@ -420,46 +420,96 @@ TEST(SweepService, MatchesTheOfflineRunner)
               offline.renderNdjson());
 }
 
-TEST(SweepService, MatchesTheStackSimEngine)
+TEST(SweepService, ColdGeometryRequestTakesTheFastPath)
 {
-    // Cross-engine property: the serve kernel prices points with
-    // per-point simulation; the single-pass stack engine over the
-    // same geometry sweep must produce the same ratio cells.
-    exp::GeometrySweep spec;
-    spec.base.assoc = 1; // stack engine wants LRU direct/assoc
-    spec.base.lineBytes = 32;
-    spec.workload = exp::WorkloadSpec::spec92("nasa7", 3);
-    spec.values = {4096, 8192, 16384};
-    spec.refs = 2000;
-    spec.warmupRefs = 200;
-    spec.engine = exp::GeometrySweep::Engine::StackSim;
-    exp::Runner runner(exp::RunnerOptions{1});
-    const exp::ResultTable stack =
-        exp::runGeometrySweep(spec, runner);
-
-    auto request = serve::parseSweepRequest(R"({
+    // A cold geometry sweep is priced by one stack-sim pass, and
+    // must still render exactly what per-point eval renders —
+    // including the error row of the invalid 5000-byte geometry.
+    const auto request = serve::parseSweepRequest(R"({
       "refs": 2000, "warmup": 200,
       "workload": {"method": "spec92",
                    "params": {"profile": "nasa7"}, "seed": 3},
-      "cache": {"assoc": 1, "line": 32},
+      "cache": {"assoc": 2, "line": 32},
       "axes": [{"axis": "cache.size",
-                "values": [4096, 8192, 16384]}]
+                "values": [4096, 5000, 8192]}]
     })");
     ASSERT_TRUE(request.ok()) << request.status().toString();
-    serve::SweepService service(serve::ServiceOptions{});
-    auto served = service.runSweep(request.value());
-    ASSERT_TRUE(served.ok());
+    const exp::Kernel *kernel = exp::findKernel("cache");
+    ASSERT_NE(kernel, nullptr);
+    exp::Runner runner(exp::RunnerOptions{1});
+    const std::string per_point =
+        runner
+            .run(request.value().scenario, kernel->columns,
+                 kernel->eval)
+            .renderNdjson();
+    EXPECT_NE(per_point.find("!invalid_argument"),
+              std::string::npos);
 
-    const exp::ResultTable &table = served.value().table;
-    ASSERT_EQ(table.rows(), stack.rows());
-    // Columns: axis label, then hit/miss/flush in both tables.
-    for (std::size_t row = 0; row < table.rows(); ++row) {
-        for (std::size_t col = 1; col < 4; ++col) {
-            EXPECT_EQ(table.at(row, col).str(),
-                      stack.at(row, col).str())
-                << "row " << row << " col " << col;
-        }
-    }
+    serve::ServiceOptions options;
+    options.threads = 2;
+    serve::SweepService service(options);
+    resetSweepDispatchStats();
+    auto cold = service.runSweep(request.value());
+    ASSERT_TRUE(cold.ok()) << cold.status().toString();
+    SweepDispatchCounters counters = sweepDispatchCounters();
+    EXPECT_EQ(counters.fastPath, 1u);
+    EXPECT_EQ(counters.declined, 0u);
+    EXPECT_EQ(counters.perPoint, 0u);
+    // Every valid point was computed; the invalid one failed and,
+    // as failures are, stayed uncached.
+    EXPECT_EQ(cold.value().points, 3u);
+    EXPECT_EQ(cold.value().failed, 1u);
+    EXPECT_EQ(cold.value().computed,
+              cold.value().points - cold.value().failed);
+    EXPECT_EQ(cold.value().table.renderNdjson(), per_point);
+
+    // The valid points now hit; the invalid one fails in eval
+    // before any simulation, so nothing runs the pass again.
+    resetSweepDispatchStats();
+    auto warm = service.runSweep(request.value());
+    ASSERT_TRUE(warm.ok());
+    counters = sweepDispatchCounters();
+    EXPECT_EQ(counters.fastPath + counters.declined +
+                  counters.perPoint,
+              0u);
+    EXPECT_EQ(warm.value().cacheHits, 2u);
+    EXPECT_EQ(warm.value().computed, 0u);
+    EXPECT_EQ(warm.value().table.renderNdjson(), per_point);
+    resetSweepDispatchStats();
+}
+
+TEST(SweepService, WorkloadAxisIsPerPointByDesign)
+{
+    // Points over different workloads see different reference
+    // streams: no stack pass can share them, so the request is
+    // counted per-point by design and logs no decline.
+    const auto request = serve::parseSweepRequest(R"({
+      "refs": 1000,
+      "cache": {"size": 8192, "assoc": 2, "line": 32},
+      "axes": [{"axis": "workload",
+                "specs": [
+                  {"method": "spec92",
+                   "params": {"profile": "nasa7"}, "seed": 1},
+                  {"method": "spec92",
+                   "params": {"profile": "doduc"}, "seed": 1}
+                ]}]
+    })");
+    ASSERT_TRUE(request.ok()) << request.status().toString();
+    serve::ServiceOptions options;
+    options.threads = 1;
+    serve::SweepService service(options);
+    resetSweepDispatchStats();
+    testing::internal::CaptureStderr();
+    auto outcome = service.runSweep(request.value());
+    const std::string log = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().toString();
+    EXPECT_EQ(outcome.value().computed, 2u);
+    const SweepDispatchCounters counters = sweepDispatchCounters();
+    EXPECT_EQ(counters.perPoint, 1u);
+    EXPECT_EQ(counters.declined, 0u);
+    EXPECT_EQ(counters.fastPath, 0u);
+    EXPECT_EQ(log.find("fell back"), std::string::npos) << log;
+    resetSweepDispatchStats();
 }
 
 TEST(SweepService, WarmSupersetRecomputesOnlyNewPoints)
@@ -688,6 +738,7 @@ TEST_F(ServerTest, MetricsScrapeIsConformantAndCountsHits)
         std::string line;
         bool saw_histogram = false;
         double hits = -1.0;
+        double fast_path = -1.0;
         while (std::getline(in, line)) {
             ASSERT_FALSE(line.empty());
             if (line.rfind("# HELP ", 0) == 0)
@@ -715,10 +766,15 @@ TEST_F(ServerTest, MetricsScrapeIsConformantAndCountsHits)
                 << line;
             if (name == "uatm_serve_cache_hits")
                 hits = std::strtod(value.c_str(), nullptr);
+            if (name == "uatm_serve_dispatch_fast_path")
+                fast_path = std::strtod(value.c_str(), nullptr);
         }
         EXPECT_TRUE(saw_histogram);
         // The second request was served from the cache.
         EXPECT_GE(hits, 2.0);
+        // The cold geometry request took the single-pass engine
+        // (process-wide, so other tests in the binary may add).
+        EXPECT_GE(fast_path, 1.0);
     }
 }
 
@@ -730,8 +786,7 @@ TEST_F(ServerTest, DaemonMatchesOfflineNdjsonByteForByte)
 
     const auto request = serve::parseSweepRequest(kRequest);
     ASSERT_TRUE(request.ok());
-    const serve::ServeKernel *kernel =
-        serve::findServeKernel("cache");
+    const exp::Kernel *kernel = exp::findKernel("cache");
     exp::Runner runner(exp::RunnerOptions{1});
     const exp::ResultTable offline =
         runner.run(request.value().scenario, kernel->columns,

@@ -275,6 +275,46 @@ TEST(StackSimEligibilityTest, ReportsTheDisqualifyingProperty)
     EXPECT_NE(stackSimIneligibleReason(around), nullptr);
 }
 
+TEST(SweepDispatchTest, PlanSkipsInvalidGeometriesAndTalliesDeclines)
+{
+    CacheConfig base;
+    base.lineBytes = 32;
+    base.assoc = 2;
+    std::vector<CacheConfig> configs(3, base);
+    configs[0].sizeBytes = 4096;
+    configs[1].sizeBytes = 5000; // not a power of two
+    configs[2].sizeBytes = 8192;
+
+    resetSweepDispatchStats();
+    const auto grid = planStackSim(configs);
+    ASSERT_TRUE(grid.has_value());
+    EXPECT_EQ(grid->setCounts.size(), 2u);
+    EXPECT_TRUE(grid->validate().ok());
+    EXPECT_EQ(sweepDispatchCounters().fastPath, 1u);
+
+    // Different line sizes cannot share a pass: per-point by
+    // design, not a decline.
+    std::vector<CacheConfig> lines = configs;
+    lines[2].lineBytes = 64;
+    EXPECT_FALSE(planStackSim(lines).has_value());
+    EXPECT_EQ(sweepDispatchCounters().perPoint, 1u);
+    EXPECT_EQ(sweepDispatchCounters().declined, 0u);
+
+    std::vector<CacheConfig> fifo = configs;
+    fifo[0].replacement = ReplacementKind::FIFO;
+    EXPECT_FALSE(planStackSim(fifo).has_value());
+    EXPECT_FALSE(planStackSim({configs[1]}).has_value());
+
+    // 256 one-way sets next to one 256-way set: the pass would keep
+    // 256-deep stacks for all 257 sets, 128 entries per cache line.
+    std::vector<CacheConfig> wide(2, base);
+    wide[0].assoc = 1;
+    wide[1].assoc = 256;
+    EXPECT_FALSE(planStackSim(wide).has_value());
+    EXPECT_EQ(sweepDispatchCounters().declined, 3u);
+    resetSweepDispatchStats();
+}
+
 TEST(SweepDispatchTest, CountersTrackFastAndDeclinedSweeps)
 {
     resetSweepDispatchStats();

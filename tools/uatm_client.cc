@@ -16,8 +16,8 @@
  * endpoint.  --offline runs the same scenario in-process on the
  * same parser and kernel registry, emitting byte-identical NDJSON
  * — CI diffs the two to prove the daemon adds transport, not
- * meaning.  --threads overrides the request's thread count (0
- * keeps the scenario's own value).
+ * meaning.  --threads (--offline only) overrides the request's
+ * thread count (0 keeps the scenario's own value).
  *
  * Exit status: 0 success, 1 transport or HTTP (non-2xx) error,
  * 2 bad usage.
@@ -29,6 +29,7 @@
 #include <sstream>
 #include <string>
 
+#include "exp/kernel.hh"
 #include "exp/runner.hh"
 #include "serve/http.hh"
 #include "serve/sweep_request.hh"
@@ -86,20 +87,17 @@ runOffline(const std::string &body, unsigned threads,
     auto request = serve::parseSweepRequest(body);
     if (!request.ok())
         return failWith(request.status());
-    const serve::ServeKernel *kernel =
-        serve::findServeKernel(request.value().kernel);
-    if (!kernel) {
-        return failWith(Status::notFound(
-            "unknown kernel '", request.value().kernel, "'"));
-    }
+    // parseSweepRequest has rejected unknown kernel names.
+    const exp::Kernel &kernel = *exp::findKernel(request.value().kernel);
     exp::RunnerOptions options;
     if (threads)
         request.value().threads = threads;
     options.threads =
         request.value().threads ? request.value().threads : 1;
     exp::Runner runner(options);
-    const exp::ResultTable table = runner.run(
-        request.value().scenario, kernel->columns, kernel->eval);
+    const exp::ResultTable table =
+        runner.run(request.value().scenario, kernel.columns,
+                   kernel.bind(request.value().scenario));
     const Status written =
         writeOutput(out_path, table.renderNdjson());
     if (!written.ok())
@@ -143,7 +141,8 @@ main(int argc, char **argv)
     options.addString("out", "",
                       "NDJSON output file (default stdout)");
     options.addInt("threads", 0,
-                   "override the request's thread count");
+                   "override the request's thread count "
+                   "(--offline only)");
     options.addFlag("metrics", "GET /metrics and print it");
     options.addFlag("workloads", "GET /workloads and print it");
     options.addFlag("offline",
@@ -164,6 +163,12 @@ main(int argc, char **argv)
     const std::string host = options.getString("host");
     const auto port = std::uint16_t(options.getInt("port"));
     const unsigned threads = unsigned(options.getInt("threads"));
+    if (threads && !options.getFlag("offline")) {
+        std::fprintf(stderr, "uatm_client: --threads needs --offline "
+                     "(a daemon reads \"threads\" from the scenario)\n%s",
+                     options.usage().c_str());
+        return 2;
+    }
 
     if (options.getFlag("metrics"))
         return getAndPrint(host, port, "/metrics");
@@ -188,21 +193,8 @@ main(int argc, char **argv)
                           options.getString("out"));
     }
 
-    std::string request_body = body.value();
-    if (threads) {
-        // Patch the thread count without disturbing the document:
-        // re-send with a "threads" override only when the caller
-        // asked for one.  The field is top-level, so appending it
-        // by rewriting would need a JSON editor; instead we rely
-        // on the scenario author or pass it through verbatim.
-        std::fprintf(stderr,
-                     "uatm_client: note: --threads with a remote "
-                     "daemon requires the scenario to omit its "
-                     "own \"threads\" field; sending as-is\n");
-    }
-
     auto response = serve::httpFetch(host, port, "POST", "/sweep",
-                                     request_body);
+                                     body.value());
     if (!response.ok())
         return failWith(response.status());
     const serve::HttpClientResponse &reply = response.value();
