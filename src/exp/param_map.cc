@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "obs/json.hh"
@@ -360,9 +361,21 @@ ParamMap::writeJson(obs::JsonWriter &writer) const
           case ParamValue::Type::Int:
             writer.value(entry.value.asInt());
             break;
-          case ParamValue::Type::Double:
-            writer.value(entry.value.asDouble());
+          case ParamValue::Type::Double: {
+            // The writer's 12 digits unless they lose bits: this
+            // JSON is the point-cache key, so two values that
+            // build different streams must render differently.
+            const double v = entry.value.asDouble();
+            std::string text = obs::JsonWriter::formatNumber(v);
+            if (std::isfinite(v) &&
+                std::strtod(text.c_str(), nullptr) != v) {
+                char buf[32];
+                std::snprintf(buf, sizeof(buf), "%.17g", v);
+                text = buf;
+            }
+            writer.rawValue(text);
             break;
+          }
           case ParamValue::Type::Bool:
             writer.value(entry.value.asBool());
             break;

@@ -137,7 +137,8 @@ class ParamMap
     /** Canonical "a=1,b=x" form (sorted); "" when empty. */
     std::string render() const;
 
-    /** Emit as a JSON object value. */
+    /** Emit as a JSON object value; doubles render exactly
+     *  (12 significant digits when those suffice). */
     void writeJson(obs::JsonWriter &writer) const;
 
     /**

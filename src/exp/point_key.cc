@@ -5,27 +5,10 @@
 
 #include "exp/point_key.hh"
 
-#include "cpu/stall_feature.hh"
+#include "exp/point_fields.hh"
 #include "obs/json.hh"
 
 namespace uatm::exp {
-
-// The key walks every field of the four config structs by hand.
-// These guards fire when a field is added, so the key (and the
-// schema version above) cannot silently go stale and alias two
-// configurations that now differ.
-static_assert(sizeof(CacheConfig) == 32,
-              "CacheConfig changed shape: extend canonicalPointKey "
-              "and bump kPointKeySchemaVersion");
-static_assert(sizeof(MemoryConfig) == 32,
-              "MemoryConfig changed shape: extend canonicalPointKey "
-              "and bump kPointKeySchemaVersion");
-static_assert(sizeof(WriteBufferConfig) == 8,
-              "WriteBufferConfig changed shape: extend "
-              "canonicalPointKey and bump kPointKeySchemaVersion");
-static_assert(sizeof(CpuConfig) == 12,
-              "CpuConfig changed shape: extend canonicalPointKey "
-              "and bump kPointKeySchemaVersion");
 
 Expected<std::string>
 canonicalPointKey(const Point &point, std::string_view kernel_id)
@@ -46,35 +29,16 @@ canonicalPointKey(const Point &point, std::string_view kernel_id)
     w.keyValue("v", kPointKeySchemaVersion);
     w.keyValue("kernel", kernel_id);
 
-    w.key("cache").beginObject();
-    w.keyValue("size", point.cache.sizeBytes);
-    w.keyValue("assoc", point.cache.assoc);
-    w.keyValue("line", point.cache.lineBytes);
-    w.keyValue("write_miss",
-               writeMissPolicyName(point.cache.writeMiss));
-    w.keyValue("write", writePolicyName(point.cache.write));
-    w.keyValue("replacement",
-               replacementKindName(point.cache.replacement));
-    w.keyValue("replacement_seed", point.cache.replacementSeed);
-    w.endObject();
-
-    w.key("memory").beginObject();
-    w.keyValue("bus_width", point.memory.busWidthBytes);
-    w.keyValue("cycle_time", point.memory.cycleTime);
-    w.keyValue("pipelined", point.memory.pipelined);
-    w.keyValue("pipeline_interval", point.memory.pipelineInterval);
-    w.endObject();
-
-    w.key("wbuf").beginObject();
-    w.keyValue("depth", point.writeBuffer.depth);
-    w.keyValue("read_bypass", point.writeBuffer.readBypass);
-    w.endObject();
-
-    w.key("cpu").beginObject();
-    w.keyValue("feature", stallFeatureName(point.cpu.feature));
-    w.keyValue("mshrs", point.cpu.mshrs);
-    w.keyValue("suppress_flush", point.cpu.suppressFlushTraffic);
-    w.keyValue("prefetch", prefetchPolicyName(point.cpu.prefetch));
+    std::string_view open;
+    for (const PointField &field : pointFields()) {
+        if (field.object != open) {
+            if (!open.empty())
+                w.endObject();
+            w.key(field.object).beginObject();
+            open = field.object;
+        }
+        field.write(w, point);
+    }
     w.endObject();
 
     w.key("workload").rawValue(workload.value());

@@ -5,7 +5,8 @@
  * canonicalPointKey renders everything a Point's evaluation
  * depends on — the four configs, the workload recipe, the ref
  * counts, and the id of the kernel that prices it — as one
- * canonical JSON document: field order is fixed, numbers render
+ * canonical JSON document: field order is fixed (the configs are
+ * written from the exp/point_fields.hh table), numbers render
  * locale-independently (obs::JsonWriter), and the workload params
  * are name-sorted (ParamMap).  Two points with equal keys are
  * therefore guaranteed to produce byte-identical result cells

@@ -6,7 +6,6 @@
 #include "exp/workload_spec.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "exp/workload_registry.hh"
 #include "obs/json.hh"
@@ -195,7 +194,12 @@ WorkloadSpec::fromJson(std::string_view text)
         return Status::parseError("bad workload spec JSON: ",
                                   parsed.error);
     }
-    const obs::JsonValue &root = parsed.value;
+    return fromJson(parsed.value);
+}
+
+Expected<WorkloadSpec>
+WorkloadSpec::fromJson(const obs::JsonValue &root)
+{
     if (!root.isObject()) {
         return Status::parseError(
             "workload spec JSON must be an object");
@@ -218,16 +222,10 @@ WorkloadSpec::fromJson(std::string_view text)
                 return params.status();
             spec.params = std::move(params).value();
         } else if (key == "seed") {
-            if (!value.isNumber() ||
-                value.asNumber() < 0.0 ||
-                value.asNumber() !=
-                    std::floor(value.asNumber())) {
-                return Status::parseError(
-                    "workload spec \"seed\" must be a "
-                    "non-negative integer");
-            }
-            spec.seed =
-                static_cast<std::uint64_t>(value.asNumber());
+            auto seed = value.asUnsigned("seed");
+            if (!seed.ok())
+                return seed.status();
+            spec.seed = seed.value();
         } else if (key == "ifetch") {
             if (!value.isBool()) {
                 return Status::parseError(

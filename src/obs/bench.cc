@@ -82,6 +82,24 @@ BenchResult::itemsPerSecond() const
     return items * 1e9 / nsPerRepMedian;
 }
 
+std::filesystem::path
+benchOutDir(const std::string &dir)
+{
+    const char *env = std::getenv("UATM_BENCH_OUT");
+    const std::filesystem::path out =
+        std::filesystem::path(!dir.empty()    ? dir.c_str()
+                              : (env && *env) ? env
+                                              : "bench_out")
+            .lexically_normal();
+    std::error_code ec;
+    std::filesystem::create_directories(out, ec);
+    if (ec) {
+        fatal("cannot create benchmark output directory '",
+              out.string(), "': ", ec.message());
+    }
+    return out;
+}
+
 void
 BenchSuite::add(const std::string &name, BenchFn fn)
 {
@@ -228,17 +246,7 @@ BenchSuite::run(const RunOptions &options)
     }
 
     if (options.writeJson && !results_.empty()) {
-        const char *env = std::getenv("UATM_BENCH_OUT");
-        const std::filesystem::path dir =
-            !options.outDir.empty() ? options.outDir
-            : (env && *env)        ? env
-                                    : "bench_out";
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        if (ec) {
-            fatal("cannot create benchmark output directory '",
-                  dir.string(), "': ", ec.message());
-        }
+        const std::filesystem::path dir = benchOutDir(options.outDir);
         const std::filesystem::path path =
             (dir / ("BENCH_" + name_ + ".json"))
                 .lexically_normal();

@@ -28,6 +28,7 @@
 #define UATM_OBS_BENCH_HH
 
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <utility>
@@ -165,6 +166,14 @@ struct BenchResult
     /** Items per wall-clock second at the median rep time. */
     double itemsPerSecond() const;
 };
+
+/**
+ * The directory benchmark artifacts (BENCH_*.json, CSVs,
+ * manifests, RUNNER_*.json) go to: @p dir when non-empty, else
+ * $UATM_BENCH_OUT, else "bench_out"; lexically normalized and
+ * created recursively.  fatal() when it cannot be created.
+ */
+std::filesystem::path benchOutDir(const std::string &dir = "");
 
 /**
  * An ordered set of named benchmarks, run together as one suite.

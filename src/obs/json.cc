@@ -65,7 +65,7 @@ JsonWriter::key(std::string_view k)
     if (!first_.back())
         out_ += ',';
     first_.back() = false;
-    out_ += escape(k);
+    appendEscaped(out_, k);
     out_ += ':';
     pendingKey_ = true;
     return *this;
@@ -75,7 +75,7 @@ JsonWriter &
 JsonWriter::value(std::string_view v)
 {
     beforeValue();
-    out_ += escape(v);
+    appendEscaped(out_, v);
     return *this;
 }
 
@@ -112,6 +112,13 @@ JsonWriter::escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size() + 2);
+    appendEscaped(out, s);
+    return out;
+}
+
+void
+JsonWriter::appendEscaped(std::string &out, std::string_view s)
+{
     out += '"';
     for (char c : s) {
         switch (c) {
@@ -143,7 +150,6 @@ JsonWriter::escape(std::string_view s)
         }
     }
     out += '"';
-    return out;
 }
 
 std::string
@@ -189,6 +195,21 @@ JsonValue::asNumber() const
 {
     UATM_ASSERT(isNumber(), "JSON value is not a number");
     return number_;
+}
+
+Expected<std::uint64_t>
+JsonValue::asUnsigned(std::string_view field,
+                      std::uint64_t max) const
+{
+    const double v = number_;
+    if (!isNumber() || !(v >= 0.0 && v < 0x1p64) ||
+        v != std::floor(v) || static_cast<std::uint64_t>(v) > max) {
+        return Status::parseError(
+            "\"", field, "\" must be an integer in [0, ", max, "]",
+            isNumber() ? " (got " + JsonWriter::formatNumber(v) + ")"
+                       : "");
+    }
+    return static_cast<std::uint64_t>(v);
 }
 
 const std::string &

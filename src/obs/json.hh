@@ -20,10 +20,13 @@
 #define UATM_OBS_JSON_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "util/status.hh"
 
 namespace uatm::obs {
 
@@ -83,6 +86,9 @@ class JsonWriter
     static std::string formatNumber(double v);
 
   private:
+    /** escape() appended to @p out, without a temporary. */
+    static void appendEscaped(std::string &out, std::string_view s);
+
     std::string out_;
     std::vector<char> stack_;      ///< 'o' = object, 'a' = array
     std::vector<bool> first_;      ///< no comma needed yet per level
@@ -120,6 +126,18 @@ class JsonValue
     bool asBool() const;
     double asNumber() const;
     const std::string &asString() const;
+
+    /**
+     * Checked read of an untrusted unsigned integer: the number
+     * if it is integral and in [0, @p max], else a ParseError
+     * naming @p field ("cache.assoc").  Never asserts, so it
+     * takes any kind; the range test runs on the double, before
+     * any cast (for max = 2^64 - 1 it is "< 2^64").
+     */
+    Expected<std::uint64_t>
+    asUnsigned(std::string_view field,
+               std::uint64_t max =
+                   std::numeric_limits<std::uint64_t>::max()) const;
 
     /** Array elements (asserts isArray()). */
     const std::vector<JsonValue> &items() const;

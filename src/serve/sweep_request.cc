@@ -5,10 +5,10 @@
 
 #include "serve/sweep_request.hh"
 
-#include <cmath>
-#include <map>
+#include <algorithm>
+#include <limits>
 
-#include "cpu/stall_feature.hh"
+#include "exp/point_fields.hh"
 #include "obs/json.hh"
 
 namespace uatm::serve {
@@ -26,327 +26,44 @@ joined(const std::vector<std::string> &names)
 }
 
 Status
-typeError(const char *object, const std::string &field,
-          const char *want)
+typeError(const std::string &field, const char *want)
 {
-    return Status::parseError("sweep request: \"", object, ".",
-                              field, "\" must be ", want);
+    return Status::parseError("sweep request: \"", field,
+                              "\" must be ", want);
 }
 
-Expected<double>
-asNumber(const char *object, const std::string &field,
-         const obs::JsonValue &value)
+/** True for "cache", "memory", "wbuf" and "cpu". */
+bool
+isConfigObject(const std::string &name)
 {
-    if (!value.isNumber())
-        return typeError(object, field, "a number");
-    return value.asNumber();
-}
-
-Expected<std::uint64_t>
-asUint(const char *object, const std::string &field,
-       const obs::JsonValue &value)
-{
-    auto number = asNumber(object, field, value);
-    if (!number.ok())
-        return number.status();
-    const double v = number.value();
-    if (v < 0.0 || v != std::floor(v))
-        return typeError(object, field,
-                         "a non-negative integer");
-    return static_cast<std::uint64_t>(v);
-}
-
-Expected<bool>
-asBool(const char *object, const std::string &field,
-       const obs::JsonValue &value)
-{
-    if (!value.isBool())
-        return typeError(object, field, "a bool");
-    return value.asBool();
-}
-
-/** Parse a string field against an enum's name() table. */
-template <typename Enum, std::size_t N>
-Expected<Enum>
-asEnum(const char *object, const std::string &field,
-       const obs::JsonValue &value, const Enum (&values)[N],
-       const char *(*name)(Enum))
-{
-    if (!value.isString())
-        return typeError(object, field, "a string");
-    for (Enum candidate : values) {
-        if (value.asString() == name(candidate))
-            return candidate;
+    for (const exp::PointField &field : exp::pointFields()) {
+        if (field.object == name)
+            return true;
     }
-    std::string known;
-    for (Enum candidate : values) {
-        if (!known.empty())
-            known += ", ";
-        known += name(candidate);
-    }
-    return Status::parseError("sweep request: \"", object, ".",
-                              field, "\" must be one of ", known,
-                              " (got \"", value.asString(), "\")");
+    return false;
 }
 
+/** Read the base config object @p object onto @p base. */
 Status
-parseCacheConfig(const obs::JsonValue &json, CacheConfig &config)
+parseConfig(const std::string &object, const obs::JsonValue &json,
+            exp::Point &base)
 {
-    for (const auto &[field, value] : json.members()) {
-        if (field == "size") {
-            auto v = asUint("cache", field, value);
-            if (!v.ok())
-                return v.status();
-            config.sizeBytes = v.value();
-        } else if (field == "assoc") {
-            auto v = asUint("cache", field, value);
-            if (!v.ok())
-                return v.status();
-            config.assoc =
-                static_cast<std::uint32_t>(v.value());
-        } else if (field == "line") {
-            auto v = asUint("cache", field, value);
-            if (!v.ok())
-                return v.status();
-            config.lineBytes =
-                static_cast<std::uint32_t>(v.value());
-        } else if (field == "write_miss") {
-            constexpr WriteMissPolicy kPolicies[] = {
-                WriteMissPolicy::WriteAllocate,
-                WriteMissPolicy::WriteAround};
-            auto v = asEnum("cache", field, value, kPolicies,
-                            writeMissPolicyName);
-            if (!v.ok())
-                return v.status();
-            config.writeMiss = v.value();
-        } else if (field == "write") {
-            constexpr WritePolicy kPolicies[] = {
-                WritePolicy::WriteBack, WritePolicy::WriteThrough};
-            auto v = asEnum("cache", field, value, kPolicies,
-                            writePolicyName);
-            if (!v.ok())
-                return v.status();
-            config.write = v.value();
-        } else if (field == "replacement") {
-            constexpr ReplacementKind kKinds[] = {
-                ReplacementKind::LRU, ReplacementKind::FIFO,
-                ReplacementKind::Random,
-                ReplacementKind::TreePLRU};
-            auto v = asEnum("cache", field, value, kKinds,
-                            replacementKindName);
-            if (!v.ok())
-                return v.status();
-            config.replacement = v.value();
-        } else if (field == "replacement_seed") {
-            auto v = asUint("cache", field, value);
-            if (!v.ok())
-                return v.status();
-            config.replacementSeed = v.value();
-        } else {
-            return Status::parseError(
-                "sweep request: unknown cache field \"", field,
-                "\"");
+    if (!json.isObject())
+        return typeError(object, "an object");
+    for (const auto &[name, value] : json.members()) {
+        const exp::PointField *field =
+            exp::findPointField(object, name);
+        if (!field) {
+            return Status::parseError("sweep request: unknown ",
+                                      object, " field \"", name,
+                                      "\"");
         }
+        auto parsed = field->parse(value);
+        if (!parsed.ok())
+            return parsed.status();
+        field->set(base, parsed.value());
     }
     return Status();
-}
-
-Status
-parseMemoryConfig(const obs::JsonValue &json, MemoryConfig &config)
-{
-    for (const auto &[field, value] : json.members()) {
-        if (field == "bus_width") {
-            auto v = asUint("memory", field, value);
-            if (!v.ok())
-                return v.status();
-            config.busWidthBytes =
-                static_cast<std::uint32_t>(v.value());
-        } else if (field == "cycle_time") {
-            auto v = asUint("memory", field, value);
-            if (!v.ok())
-                return v.status();
-            config.cycleTime = v.value();
-        } else if (field == "pipelined") {
-            auto v = asBool("memory", field, value);
-            if (!v.ok())
-                return v.status();
-            config.pipelined = v.value();
-        } else if (field == "pipeline_interval") {
-            auto v = asUint("memory", field, value);
-            if (!v.ok())
-                return v.status();
-            config.pipelineInterval = v.value();
-        } else {
-            return Status::parseError(
-                "sweep request: unknown memory field \"", field,
-                "\"");
-        }
-    }
-    return Status();
-}
-
-Status
-parseWriteBufferConfig(const obs::JsonValue &json,
-                       WriteBufferConfig &config)
-{
-    for (const auto &[field, value] : json.members()) {
-        if (field == "depth") {
-            auto v = asUint("wbuf", field, value);
-            if (!v.ok())
-                return v.status();
-            config.depth =
-                static_cast<std::uint32_t>(v.value());
-        } else if (field == "read_bypass") {
-            auto v = asBool("wbuf", field, value);
-            if (!v.ok())
-                return v.status();
-            config.readBypass = v.value();
-        } else {
-            return Status::parseError(
-                "sweep request: unknown wbuf field \"", field,
-                "\"");
-        }
-    }
-    return Status();
-}
-
-Status
-parseCpuConfig(const obs::JsonValue &json, CpuConfig &config)
-{
-    for (const auto &[field, value] : json.members()) {
-        if (field == "feature") {
-            constexpr StallFeature kFeatures[] = {
-                StallFeature::FS,   StallFeature::BL,
-                StallFeature::BNL1, StallFeature::BNL2,
-                StallFeature::BNL3, StallFeature::NB};
-            auto v = asEnum("cpu", field, value, kFeatures,
-                            stallFeatureName);
-            if (!v.ok())
-                return v.status();
-            config.feature = v.value();
-        } else if (field == "mshrs") {
-            auto v = asUint("cpu", field, value);
-            if (!v.ok())
-                return v.status();
-            config.mshrs =
-                static_cast<std::uint32_t>(v.value());
-        } else if (field == "suppress_flush") {
-            auto v = asBool("cpu", field, value);
-            if (!v.ok())
-                return v.status();
-            config.suppressFlushTraffic = v.value();
-        } else if (field == "prefetch") {
-            constexpr PrefetchPolicy kPolicies[] = {
-                PrefetchPolicy::None, PrefetchPolicy::OnMiss,
-                PrefetchPolicy::Tagged};
-            auto v = asEnum("cpu", field, value, kPolicies,
-                            prefetchPolicyName);
-            if (!v.ok())
-                return v.status();
-            config.prefetch = v.value();
-        } else {
-            return Status::parseError(
-                "sweep request: unknown cpu field \"", field,
-                "\"");
-        }
-    }
-    return Status();
-}
-
-/** Re-render a parsed subtree to JSON text, so the workload spec
- *  can reuse WorkloadSpec::fromJson's strict schema validation. */
-void
-writeJsonValue(obs::JsonWriter &writer,
-               const obs::JsonValue &value)
-{
-    switch (value.kind()) {
-      case obs::JsonValue::Kind::Null:
-        writer.rawValue("null");
-        return;
-      case obs::JsonValue::Kind::Bool:
-        writer.value(value.asBool());
-        return;
-      case obs::JsonValue::Kind::Number:
-        writer.value(value.asNumber());
-        return;
-      case obs::JsonValue::Kind::String:
-        writer.value(value.asString());
-        return;
-      case obs::JsonValue::Kind::Array:
-        writer.beginArray();
-        for (const obs::JsonValue &item : value.items())
-            writeJsonValue(writer, item);
-        writer.endArray();
-        return;
-      case obs::JsonValue::Kind::Object:
-        writer.beginObject();
-        for (const auto &[key, member] : value.members()) {
-            writer.key(key);
-            writeJsonValue(writer, member);
-        }
-        writer.endObject();
-        return;
-    }
-}
-
-Expected<exp::WorkloadSpec>
-workloadFromJsonValue(const obs::JsonValue &value)
-{
-    obs::JsonWriter writer;
-    writeJsonValue(writer, value);
-    return exp::WorkloadSpec::fromJson(writer.str());
-}
-
-/** One registered sweepable knob. */
-struct AxisEntry
-{
-    exp::Scenario::Applier apply;
-};
-
-const std::map<std::string, AxisEntry> &
-axisRegistry()
-{
-    static const std::map<std::string, AxisEntry> kAxes = {
-        {"cache.size",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.cache.sizeBytes =
-                 static_cast<std::uint64_t>(v.value);
-         }}},
-        {"cache.assoc",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.cache.assoc = static_cast<std::uint32_t>(v.value);
-         }}},
-        {"cache.line",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.cache.lineBytes =
-                 static_cast<std::uint32_t>(v.value);
-         }}},
-        {"memory.bus_width",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.memory.busWidthBytes =
-                 static_cast<std::uint32_t>(v.value);
-         }}},
-        {"memory.cycle_time",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.memory.cycleTime =
-                 static_cast<std::uint64_t>(v.value);
-         }}},
-        {"memory.pipeline_interval",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.memory.pipelineInterval =
-                 static_cast<std::uint64_t>(v.value);
-         }}},
-        {"wbuf.depth",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.writeBuffer.depth =
-                 static_cast<std::uint32_t>(v.value);
-         }}},
-        {"cpu.mshrs",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.cpu.mshrs = static_cast<std::uint32_t>(v.value);
-         }}},
-    };
-    return kAxes;
 }
 
 Status
@@ -388,7 +105,7 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
         specs.reserve(specs_json->size());
         for (const obs::JsonValue &spec_json :
              specs_json->items()) {
-            auto spec = workloadFromJsonValue(spec_json);
+            auto spec = exp::WorkloadSpec::fromJson(spec_json);
             if (!spec.ok())
                 return spec.status();
             specs.push_back(std::move(spec).value());
@@ -397,8 +114,13 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
         return Status();
     }
 
-    const auto it = axisRegistry().find(name);
-    if (it == axisRegistry().end()) {
+    const auto dot = name.find('.');
+    const exp::PointField *field =
+        dot == std::string::npos
+            ? nullptr
+            : exp::findPointField(name.substr(0, dot),
+                                  name.substr(dot + 1));
+    if (!field || !field->axis) {
         return Status::notFound("sweep request: unknown axis \"",
                                 name, "\" (known: ",
                                 joined(serveAxisNames()), ")");
@@ -418,14 +140,17 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
     std::vector<double> values;
     values.reserve(values_json->size());
     for (const obs::JsonValue &value : values_json->items()) {
-        if (!value.isNumber()) {
-            return Status::parseError(
-                "sweep request: axis \"", name,
-                "\" values must be numbers");
-        }
+        // Checked here because an Applier cannot fail.
+        auto parsed = field->parse(value);
+        if (!parsed.ok())
+            return parsed.status();
         values.push_back(value.asNumber());
     }
-    scenario.sweep(name, values, it->second.apply);
+    scenario.sweep(name, values,
+                   [field](exp::Point &p, const exp::AxisValue &v) {
+                       field->set(p,
+                                  static_cast<std::uint64_t>(v.value));
+                   });
     return Status();
 }
 
@@ -435,11 +160,11 @@ std::vector<std::string>
 serveAxisNames()
 {
     std::vector<std::string> names;
-    names.reserve(axisRegistry().size() + 1);
-    for (const auto &[name, entry] : axisRegistry()) {
-        (void)entry;
-        names.push_back(name);
+    for (const exp::PointField &field : exp::pointFields()) {
+        if (field.axis)
+            names.push_back(field.label);
     }
+    std::sort(names.begin(), names.end());
     names.push_back("workload");
     return names;
 }
@@ -458,26 +183,27 @@ parseSweepRequest(std::string_view json)
     SweepRequest request;
     std::string name = "sweep";
     std::string description;
+    exp::Point base;
     const obs::JsonValue *axes = nullptr;
 
     for (const auto &[field, value] : root.members()) {
         if (field == "name") {
             if (!value.isString())
-                return typeError("request", field, "a string");
+                return typeError(field, "a string");
             if (value.asString().empty())
                 return Status::parseError(
                     "sweep request: \"name\" must not be empty");
             name = value.asString();
         } else if (field == "description") {
             if (!value.isString())
-                return typeError("request", field, "a string");
+                return typeError(field, "a string");
             description = value.asString();
         } else if (field == "kernel") {
             if (!value.isString())
-                return typeError("request", field, "a string");
+                return typeError(field, "a string");
             request.kernel = value.asString();
         } else if (field == "refs") {
-            auto v = asUint("request", field, value);
+            auto v = value.asUnsigned(field);
             if (!v.ok())
                 return v.status();
             if (v.value() == 0)
@@ -485,52 +211,28 @@ parseSweepRequest(std::string_view json)
                     "sweep request: \"refs\" must be positive");
             request.scenario.refs = v.value();
         } else if (field == "warmup") {
-            auto v = asUint("request", field, value);
+            auto v = value.asUnsigned(field);
             if (!v.ok())
                 return v.status();
             request.scenario.warmupRefs = v.value();
         } else if (field == "threads") {
-            auto v = asUint("request", field, value);
+            auto v = value.asUnsigned(
+                field, std::numeric_limits<unsigned>::max());
             if (!v.ok())
                 return v.status();
-            request.threads =
-                static_cast<unsigned>(v.value());
+            request.threads = static_cast<unsigned>(v.value());
         } else if (field == "workload") {
-            auto spec = workloadFromJsonValue(value);
+            auto spec = exp::WorkloadSpec::fromJson(value);
             if (!spec.ok())
                 return spec.status();
             request.scenario.workload = std::move(spec).value();
-        } else if (field == "cache") {
-            if (!value.isObject())
-                return typeError("request", field, "an object");
-            const Status status =
-                parseCacheConfig(value, request.scenario.cache);
-            if (!status.ok())
-                return status;
-        } else if (field == "memory") {
-            if (!value.isObject())
-                return typeError("request", field, "an object");
-            const Status status =
-                parseMemoryConfig(value, request.scenario.memory);
-            if (!status.ok())
-                return status;
-        } else if (field == "wbuf") {
-            if (!value.isObject())
-                return typeError("request", field, "an object");
-            const Status status = parseWriteBufferConfig(
-                value, request.scenario.writeBuffer);
-            if (!status.ok())
-                return status;
-        } else if (field == "cpu") {
-            if (!value.isObject())
-                return typeError("request", field, "an object");
-            const Status status =
-                parseCpuConfig(value, request.scenario.cpu);
+        } else if (isConfigObject(field)) {
+            const Status status = parseConfig(field, value, base);
             if (!status.ok())
                 return status;
         } else if (field == "axes") {
             if (!value.isArray())
-                return typeError("request", field, "an array");
+                return typeError(field, "an array");
             axes = &value;
         } else {
             return Status::parseError(
@@ -548,10 +250,10 @@ parseSweepRequest(std::string_view json)
     // were known; rebuild it around them, keeping the parsed
     // configuration.
     exp::Scenario scenario(name, description);
-    scenario.cache = request.scenario.cache;
-    scenario.memory = request.scenario.memory;
-    scenario.writeBuffer = request.scenario.writeBuffer;
-    scenario.cpu = request.scenario.cpu;
+    scenario.cache = base.cache;
+    scenario.memory = base.memory;
+    scenario.writeBuffer = base.writeBuffer;
+    scenario.cpu = base.cpu;
     scenario.workload = request.scenario.workload;
     scenario.refs = request.scenario.refs;
     scenario.warmupRefs = request.scenario.warmupRefs;

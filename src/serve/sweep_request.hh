@@ -13,10 +13,13 @@
  * applier is looked up, the values come from the request.  The
  * special axis "workload" sweeps whole workload specs.
  *
+ * The base-config fields and the numeric axes are the entries of
+ * exp/point_fields.hh, the table the point key is written from.
+ *
  * Parsing is strict: unknown fields, unknown axis or kernel names,
- * and mistyped values are typed ParseError/NotFound Statuses (the
- * daemon maps them to HTTP 400), never aborts — request bodies are
- * untrusted input.
+ * mistyped values and integers that do not fit their field are
+ * typed ParseError/NotFound Statuses (the daemon maps them to HTTP
+ * 400), never aborts — request bodies are untrusted input.
  *
  * Example:
  * {

@@ -443,6 +443,26 @@ TEST(WorkloadSpecJson, IFetchAndParamsSurviveTheTrip)
     EXPECT_TRUE(saw_ifetch);
 }
 
+TEST(WorkloadSpecJson, DoubleParamsKeepEveryBit)
+{
+    // toJson() is the point-cache key's workload part: values that
+    // differ past the 12th digit build different streams, so they
+    // must render differently and parse back exactly, while
+    // 12-digit values keep their short form.
+    const auto long_theta =
+        valueOrFatal(WorkloadSpec::parse("ycsb:theta=0.123456789012345"));
+    const auto short_theta =
+        valueOrFatal(WorkloadSpec::parse("ycsb:theta=0.123456789012"));
+    const std::string long_json = valueOrFatal(long_theta.toJson());
+    const std::string short_json = valueOrFatal(short_theta.toJson());
+    EXPECT_NE(long_json, short_json);
+    EXPECT_NE(short_json.find("\"theta\":0.123456789012}"),
+              std::string::npos)
+        << short_json;
+    const auto back = valueOrFatal(WorkloadSpec::fromJson(long_json));
+    EXPECT_EQ(back.params.getDouble("theta"), 0.123456789012345);
+}
+
 TEST(WorkloadSpecJson, StrictSchemaRejectsMalformedDocuments)
 {
     const char *bad[] = {
@@ -453,6 +473,8 @@ TEST(WorkloadSpecJson, StrictSchemaRejectsMalformedDocuments)
         "{\"method\":\"ycsb\",\"params\":{},\"seed\":-1,"
         "\"ifetch\":false}",
         "{\"method\":\"ycsb\",\"params\":{},\"seed\":1.5,"
+        "\"ifetch\":false}",
+        "{\"method\":\"ycsb\",\"params\":{},\"seed\":1e300,"
         "\"ifetch\":false}",
         "{\"method\":\"ycsb\",\"params\":{},\"seed\":1,"
         "\"ifetch\":\"yes\"}",
