@@ -1,16 +1,25 @@
 /**
  * @file
- * Scaling benchmark for the exp::Runner worker pool: the same
- * cache-geometry sweep scenario at 1, 2, 4 and 8 threads, on the
- * obs::BenchSuite harness.  Writes BENCH_sweep_parallel.json for
- * tools/perf_diff, and reports the wall-clock speedup of each
- * thread count over the serial run.  Before timing anything, it
- * asserts the merged CSV is byte-identical at every thread count —
- * both disarmed and with telemetry armed — the runner's core
+ * Scaling benchmark for the exp::Runner worker pool, on the
+ * obs::BenchSuite harness, over two scenarios at 1, 2, 4 and 8
+ * threads:
+ *
+ *  - sweep/geometry: a cache-size sweep, priced by one stack-sim
+ *    pass (little parallel work by design);
+ *  - sweep/timing: 24 timing-engine designs on one stream, shaped
+ *    like design_space_explorer — one generated stream, the
+ *    engines split over the workers (work that parallelises).
+ *
+ * Writes BENCH_sweep_parallel.json for tools/perf_diff, and
+ * reports the wall-clock speedup of each thread count over the
+ * serial run.  Before timing anything, it asserts each merged CSV
+ * is byte-identical at every thread count — both disarmed and with
+ * telemetry armed — and to per-point evaluation, the runner's core
  * determinism contract.
  *
- * After the timed reps, one telemetry-armed run per thread count
- * writes RUNNER_sweep_parallel_t<n>.json next to the BENCH json
+ * After the timed reps, one telemetry-armed timing-scenario run
+ * per thread count writes RUNNER_sweep_parallel_t<n>.json next to
+ * the BENCH json
  * and the scaling diagnosis (per-worker utilization, load
  * imbalance, Amdahl serial-fraction fit) prints inline; feed the
  * same files to tools/run_report for the standalone report.  With
@@ -64,6 +73,58 @@ sweepCsv(unsigned threads, bool telemetry = false)
     return exp::runGeometrySweep(benchSweep(), runner).renderCsv();
 }
 
+/** design_space_explorer's grid: cache x bus x feature x write
+ *  buffer, 24 timing-engine points on one stream. */
+exp::Scenario
+timingScenario()
+{
+    exp::Scenario scenario("timing_grid",
+                           "24 timing-engine designs, one stream");
+    scenario.refs = kRefs;
+    scenario.workload = exp::WorkloadSpec::spec92("nasa7", 9);
+    scenario.cache.assoc = 2;
+    scenario.memory.cycleTime = 8;
+    scenario.writeBuffer.readBypass = true;
+    scenario.sweep("cache", {8192, 32768, 131072},
+                   [](exp::Point &p, const exp::AxisValue &v) {
+                       p.cache.sizeBytes =
+                           static_cast<std::uint64_t>(v.value);
+                   });
+    scenario.sweep("bus", {4, 8},
+                   [](exp::Point &p, const exp::AxisValue &v) {
+                       p.memory.busWidthBytes =
+                           static_cast<std::uint32_t>(v.value);
+                   });
+    scenario.sweepLabeled(
+        "feature", {{"FS", 0}, {"BNL3", 1}},
+        [](exp::Point &p, const exp::AxisValue &v) {
+            p.cpu.feature = v.value == 0 ? StallFeature::FS
+                                         : StallFeature::BNL3;
+        });
+    scenario.sweep("wbuf", {0, 8},
+                   [](exp::Point &p, const exp::AxisValue &v) {
+                       p.writeBuffer.depth =
+                           static_cast<std::uint32_t>(v.value);
+                   });
+    return scenario;
+}
+
+exp::ResultTable
+timingSweep(exp::Runner &runner)
+{
+    return exp::findKernel("timing")->run(runner, timingScenario());
+}
+
+std::string
+timingCsv(unsigned threads, bool telemetry = false)
+{
+    exp::RunnerOptions options;
+    options.threads = threads;
+    options.telemetry = telemetry;
+    exp::Runner runner(options);
+    return timingSweep(runner).renderCsv();
+}
+
 /** The brute-force reference: the `cache` kernel's per-point eval
  *  alone, one simulation per grid point. */
 exp::ResultTable
@@ -90,8 +151,7 @@ runTelemetrySweeps(const unsigned (&threadCounts)[4])
         options.threads = threads;
         options.telemetry = true;
         exp::Runner runner(options);
-        const auto table =
-            exp::runGeometrySweep(benchSweep(), runner);
+        const auto table = timingSweep(runner);
         obs::doNotOptimize(table.rows());
         const exp::RunnerTelemetry &telemetry =
             runner.lastTelemetry();
@@ -163,6 +223,25 @@ run(int argc, char **argv)
                 return EXIT_FAILURE;
             }
         }
+        // The timing-engine grid: one stream for 24 engines,
+        // held to the same contract against per-point eval.
+        const exp::Kernel &timing = *exp::findKernel("timing");
+        exp::Runner per_point(exp::RunnerOptions{1});
+        const std::string timing_serial =
+            per_point
+                .run(timingScenario(), timing.columns, timing.eval)
+                .renderCsv();
+        for (unsigned threads : threadCounts) {
+            if (timingCsv(threads) != timing_serial ||
+                timingCsv(threads, true) != timing_serial) {
+                std::fprintf(stderr,
+                             "FAIL: timing grid output at %u "
+                             "threads differs from per-point "
+                             "evaluation\n",
+                             threads);
+                return EXIT_FAILURE;
+            }
+        }
         // The timing table below is only meaningful if the sweep
         // really took the fast path: refuse to benchmark a silent
         // fallback.
@@ -180,9 +259,9 @@ run(int argc, char **argv)
             return EXIT_FAILURE;
         }
         resetSweepDispatchStats();
-        std::printf("sweep output byte-identical at 1/2/4/8 "
-                    "threads (disarmed, telemetry-armed and "
-                    "brute-force); timing the pool...\n");
+        std::printf("sweep and timing-grid output byte-identical "
+                    "at 1/2/4/8 threads (disarmed, telemetry-armed "
+                    "and per-point); timing the pool...\n");
     }
 
     obs::BenchSuite suite("sweep_parallel");
@@ -195,6 +274,18 @@ run(int argc, char **argv)
             exp::Runner runner(exp::RunnerOptions{threads});
             const auto table =
                 exp::runGeometrySweep(spec, runner);
+            obs::doNotOptimize(table.rows());
+            state.setThreads(threads,
+                             runner.lastStats().threadsUsed);
+        });
+    }
+    for (unsigned threads : threadCounts) {
+        const std::string name =
+            "sweep/timing/t" + std::to_string(threads);
+        suite.add(name, [threads](obs::BenchState &state) {
+            state.setItems(timingScenario().pointCount() * kRefs);
+            exp::Runner runner(exp::RunnerOptions{threads});
+            const auto table = timingSweep(runner);
             obs::doNotOptimize(table.rows());
             state.setThreads(threads,
                              runner.lastStats().threadsUsed);
@@ -223,18 +314,23 @@ run(int argc, char **argv)
     suite.run(options);
 
     if (!args.listOnly && args.filter.empty() &&
-        suite.results().size() == 5) {
-        const double serial =
-            suite.results().front().nsPerRepMedian;
-        double brute = 0;
+        suite.results().size() == 9) {
         std::printf("\nspeedup over 1 thread (wall clock, "
                     "%u-core host):\n",
                     std::thread::hardware_concurrency());
+        double serial = 0;
+        double brute = 0;
+        double geometry = 0;
         for (const auto &result : suite.results()) {
             if (result.name == "sweep/geometry/brute/t1") {
                 brute = result.nsPerRepMedian;
                 continue;
             }
+            // Each family's t1 comes first.
+            if (result.name.ends_with("/t1"))
+                serial = result.nsPerRepMedian;
+            if (result.name == "sweep/geometry/t1")
+                geometry = serial;
             std::printf("  %-24s %6.2fx\n", result.name.c_str(),
                         serial / result.nsPerRepMedian);
         }
@@ -242,7 +338,7 @@ run(int argc, char **argv)
             std::printf("\nsingle-pass stack engine vs "
                         "brute-force per-point at 1 thread: "
                         "%.2fx\n",
-                        brute / serial);
+                        brute / geometry);
         }
 
         std::printf("\nscaling diagnosis (one telemetry-armed "

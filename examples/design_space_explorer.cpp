@@ -7,9 +7,10 @@
  * microprocessor architect would run with this library when
  * deciding where to spend pins and chip area (Sec. 5.2).
  *
- * The 24-point grid is a declarative scenario sharded across
- * --threads workers; the merged table is identical at any thread
- * count.
+ * The 24-point grid is a declarative scenario priced by the
+ * registered `timing` kernel: one shared stream, the engines split
+ * over --threads workers; the merged table is identical at any
+ * thread count.
  *
  * Example:
  *   ./build/examples/design_space_explorer --workload doduc \
@@ -20,8 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "cpu/timing_engine.hh"
-#include "exp/runner.hh"
+#include "exp/kernel.hh"
 #include "util/options.hh"
 #include "util/table.hh"
 
@@ -100,22 +100,10 @@ run(int argc, char **argv)
             static_cast<unsigned long long>(mu),
             static_cast<unsigned long long>(scenario.refs), line);
 
+    // Every design reads the same stream: the timing kernel
+    // generates it once and runs the 24 engines in lockstep.
     exp::Runner runner = cli.makeRunner();
-    cli.emit(runner.run(
-        scenario, {"hr_pct", "cycles", "cpi", "mem_delay"},
-        [](const exp::Point &point) {
-            TimingEngine engine(point.cache, point.memory,
-                                point.writeBuffer, point.cpu);
-            auto workload = okOrThrow(point.workload.make());
-            const auto stats = engine.run(*workload, point.refs);
-            return std::vector<exp::Cell>{
-                exp::Cell::num(
-                    engine.cacheStats().hitRatio() * 100, 2),
-                exp::Cell::integer(
-                    static_cast<std::int64_t>(stats.cycles)),
-                exp::Cell::num(stats.cpi(), 3),
-                exp::Cell::num(stats.meanMemoryDelay(), 3)};
-        }));
+    cli.emit(exp::findKernel("timing")->run(runner, scenario));
 
     if (cli.narrate())
         std::printf(

@@ -17,8 +17,7 @@
 #include <string>
 
 #include "core/tradeoff.hh"
-#include "cpu/timing_engine.hh"
-#include "exp/runner.hh"
+#include "exp/kernel.hh"
 #include "util/options.hh"
 
 #include "example_cli.hh"
@@ -128,20 +127,11 @@ run(int argc, char **argv)
             }
         });
 
+    // The candidates read one stream, generated once for all four.
     exp::Runner runner = cli.makeRunner();
-    cli.emit(runner.run(
-        scenario, {"cycles", "cpi", "mem_delay"},
-        [](const exp::Point &point) {
-            TimingEngine engine(point.cache, point.memory,
-                                point.writeBuffer, point.cpu);
-            auto workload = okOrThrow(point.workload.make());
-            const auto stats = engine.run(*workload, point.refs);
-            return std::vector<exp::Cell>{
-                exp::Cell::integer(
-                    static_cast<std::int64_t>(stats.cycles)),
-                exp::Cell::num(stats.cpi(), 3),
-                exp::Cell::num(stats.meanMemoryDelay(), 3)};
-        }));
+    cli.emit(exp::findKernel("timing")
+                 ->run(runner, scenario)
+                 .project({"system", "cycles", "cpi", "mem_delay"}));
     return 0;
 }
 

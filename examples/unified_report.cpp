@@ -14,8 +14,9 @@
  *   5. an end-to-end simulation of the suggested configuration
  *      against the baseline.
  *
- * The measured parts (the phi average and the line-size sweep)
- * run through the scenario layer, so --threads shards them.
+ * The measured parts (the phi average, the line-size sweep and
+ * the end-to-end pair) run through the scenario layer, so
+ * --threads shards them.
  *
  * Example:
  *   ./build/examples/unified_report --mu 10 --line 32 \
@@ -175,54 +176,56 @@ run(int argc, char **argv)
     std::printf("\n[5] end-to-end check (%llu refs)\n",
                 static_cast<unsigned long long>(refs));
     {
-        auto run = [&](std::uint32_t bus, bool pipelined,
-                       std::uint32_t wbuf) {
-            CacheConfig cache;
-            cache.sizeBytes = 8 * 1024;
-            cache.assoc = 2;
-            cache.lineBytes = static_cast<std::uint32_t>(
-                ctx.machine.lineBytes);
-            MemoryConfig mem;
-            mem.busWidthBytes = bus;
-            mem.cycleTime =
-                static_cast<Cycles>(ctx.machine.cycleTime);
-            mem.pipelined = pipelined;
-            mem.pipelineInterval = static_cast<Cycles>(q);
-            CpuConfig cpu;
-            cpu.feature = StallFeature::FS;
-            TimingEngine engine(cache, mem,
-                                WriteBufferConfig{wbuf, true},
-                                cpu);
-            // Fresh stream, distinct seed from the sweeps above.
-            exp::WorkloadSpec check = workload;
-            if (check.serializable())
-                check.seed = workload.seed + 1;
-            auto source = okOrThrow(check.make());
-            return engine.run(*source, refs);
-        };
-        const auto base = run(
-            static_cast<std::uint32_t>(ctx.machine.busWidth),
-            false, 0);
-        const auto best =
-            ctx.machine.cycleTime >= 5.0 &&
-                    ctx.machine.lineOverBus() > 2.0
-                ? run(static_cast<std::uint32_t>(
-                          ctx.machine.busWidth),
-                      true, 8)
-                : run(static_cast<std::uint32_t>(
-                          ctx.machine.busWidth * 2),
-                      false, 8);
+        // The baseline and the suggested configuration: one
+        // two-point scenario on a fresh stream (a seed distinct
+        // from the sweeps above), generated once for both.
+        const bool pipeline = ctx.machine.cycleTime >= 5.0 &&
+                              ctx.machine.lineOverBus() > 2.0;
+        exp::Scenario scenario("end_to_end",
+                               "baseline vs suggested configuration");
+        scenario.refs = refs;
+        scenario.workload = workload;
+        if (scenario.workload.serializable())
+            scenario.workload.seed = workload.seed + 1;
+        scenario.cache.sizeBytes = 8 * 1024;
+        scenario.cache.assoc = 2;
+        scenario.cache.lineBytes =
+            static_cast<std::uint32_t>(ctx.machine.lineBytes);
+        scenario.memory.busWidthBytes =
+            static_cast<std::uint32_t>(ctx.machine.busWidth);
+        scenario.memory.cycleTime =
+            static_cast<Cycles>(ctx.machine.cycleTime);
+        scenario.memory.pipelineInterval = static_cast<Cycles>(q);
+        scenario.cpu.feature = StallFeature::FS;
+        scenario.sweepLabeled(
+            "system", {{"baseline", 0}, {"suggested", 1}},
+            [pipeline](exp::Point &point, const exp::AxisValue &v) {
+                if (v.value == 0)
+                    return;
+                point.writeBuffer.depth = 8;
+                if (pipeline)
+                    point.memory.pipelined = true;
+                else
+                    point.memory.busWidthBytes *= 2;
+            });
+        exp::Runner runner = cli.makeRunner();
+        const exp::ResultTable table =
+            exp::findKernel("timing")->run(runner, scenario);
+        if (!runner.lastFailures().empty())
+            throw StatusError(runner.lastFailures().front().status);
+        const std::size_t cycles_col =
+            okOrThrow(table.columnIndex("cycles"));
+        const std::size_t cpi_col = okOrThrow(table.columnIndex("cpi"));
+        const double base_cycles = table.at(0, cycles_col).value();
+        const double best_cycles = table.at(1, cycles_col).value();
         std::printf("    baseline: %llu cycles (CPI %.3f)\n",
-                    static_cast<unsigned long long>(base.cycles),
-                    base.cpi());
+                    static_cast<unsigned long long>(base_cycles),
+                    table.at(0, cpi_col).value());
         std::printf("    suggested config: %llu cycles "
                     "(CPI %.3f, %.1f %% faster)\n",
-                    static_cast<unsigned long long>(best.cycles),
-                    best.cpi(),
-                    100.0 * (1.0 - static_cast<double>(
-                                       best.cycles) /
-                                       static_cast<double>(
-                                           base.cycles)));
+                    static_cast<unsigned long long>(best_cycles),
+                    table.at(1, cpi_col).value(),
+                    100.0 * (1.0 - best_cycles / base_cycles));
     }
     return 0;
 }

@@ -209,6 +209,14 @@ SetAssocCache::findWay(std::uint64_t set, Addr line_addr) const
 AccessOutcome
 SetAssocCache::access(const MemoryReference &ref)
 {
+    return access(ref, trackCold_ &&
+                           touchedLines_.insert(lineAddr(ref.addr))
+                               .second);
+}
+
+AccessOutcome
+SetAssocCache::access(const MemoryReference &ref, bool first_touch)
+{
     UATM_ASSERT(isValidAccessSize(ref.size),
                 "invalid access size ", int(ref.size));
     UATM_ASSERT(ref.size <= config_.lineBytes,
@@ -227,8 +235,7 @@ SetAssocCache::access(const MemoryReference &ref)
     else
         ++stats_.loads;
 
-    if (trackCold_)
-        out.coldMiss = touchedLines_.insert(laddr).second;
+    out.coldMiss = first_touch;
 
     if (auto way = findWay(set, laddr)) {
         // Hit.

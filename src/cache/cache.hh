@@ -163,6 +163,13 @@ class SetAssocCache
     AccessOutcome access(const MemoryReference &ref);
 
     /**
+     * The same, with the stream's own first-touch flag for @p ref
+     * (StreamBlock::firstTouch) standing in for the cache's cold
+     * tracking, which it neither reads nor updates.
+     */
+    AccessOutcome access(const MemoryReference &ref, bool first_touch);
+
+    /**
      * Insert the line holding @p addr without a demand reference
      * (hardware prefetch, paper Sec. 3.3's latency-hiding remark).
      * Counted in stats().prefetchInserts, not in fills; demand

@@ -162,8 +162,9 @@ GeometryHitSurface::minus(const GeometryHitSurface &warm) const
 // StackSimulator
 // --------------------------------------------------------------------
 
-StackSimulator::StackSimulator(const GeometryGrid &grid)
-    : grid_(grid)
+StackSimulator::StackSimulator(const GeometryGrid &grid,
+                               std::uint64_t warmup_refs)
+    : grid_(grid), warmupRefs_(warmup_refs)
 {
     okOrThrow(grid_.validate());
     lineShift_ = static_cast<std::uint32_t>(std::countr_zero(
@@ -187,15 +188,33 @@ StackSimulator::StackSimulator(const GeometryGrid &grid)
 }
 
 void
-StackSimulator::setColdTracking(bool enabled)
+StackSimulator::access(const MemoryReference &ref)
 {
-    trackCold_ = enabled;
-    if (!enabled)
-        touchedLines_.clear();
+    access(ref,
+           touchedLines_.insert(ref.addr >> lineShift_).second);
 }
 
 void
-StackSimulator::access(const MemoryReference &ref)
+StackSimulator::feed(const StreamBlock &block)
+{
+    if (!warm_ && block.first >= warmupRefs_)
+        warm_ = surface();
+    const std::uint8_t *first_touch =
+        block.firstTouch(grid_.lineBytes);
+    for (std::size_t i = 0; i < block.count; ++i)
+        access(block.refs[i], first_touch && first_touch[i]);
+}
+
+GeometryHitSurface
+StackSimulator::finish() const
+{
+    // A stream that ran dry inside the warm-up measures nothing.
+    const GeometryHitSurface all = surface();
+    return all.minus(warm_ ? *warm_ : all);
+}
+
+void
+StackSimulator::access(const MemoryReference &ref, bool first_touch)
 {
     // Same input contract as SetAssocCache::access.
     UATM_ASSERT(isValidAccessSize(ref.size),
@@ -214,7 +233,7 @@ StackSimulator::access(const MemoryReference &ref)
     } else {
         ++loads_;
     }
-    if (trackCold_ && touchedLines_.insert(line).second)
+    if (first_touch)
         ++coldMisses_; // first touch misses in every geometry
 
     const bool write_back = grid_.write == WritePolicy::WriteBack;
@@ -279,14 +298,6 @@ StackSimulator::access(const MemoryReference &ref)
     }
 }
 
-void
-StackSimulator::accessBatch(const MemoryReference *refs,
-                            std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i)
-        access(refs[i]);
-}
-
 GeometryHitSurface
 StackSimulator::surface() const
 {
@@ -348,21 +359,10 @@ runStackSim(const GeometryGrid &grid, TraceSource &source,
     UATM_PROFILE_SCOPE("cache.stack_sim");
     UATM_ASSERT(warmup_refs <= refs,
                 "warmup longer than the whole run");
-    source.reset();
-    StackSimulator sim(grid);
-    // Same switch point as runCacheSim.
-    sim.setColdTracking(refs <= (1u << 22));
-
-    BatchPump batches(source);
-    const auto simulate = [&sim](const MemoryReference *batch,
-                                 std::size_t count) {
-        sim.accessBatch(batch, count);
-    };
-    batches.pump(warmup_refs, simulate);
-    // Measure only the post-warmup window.
-    const GeometryHitSurface warm = sim.surface();
-    batches.pump(refs, simulate);
-    return sim.surface().minus(warm);
+    StackSimulator sim(grid, warmup_refs);
+    streamTo(source, refs, grid.lineBytes, warmup_refs,
+             [&sim](const StreamBlock &block) { sim.feed(block); });
+    return sim.finish();
 }
 
 const char *

@@ -31,11 +31,13 @@
 #define UATM_CACHE_STACK_SIM_HH
 
 #include <cstdint>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/config.hh"
+#include "trace/fanout.hh"
 #include "trace/source.hh"
 #include "util/status.hh"
 
@@ -109,23 +111,31 @@ class GeometryHitSurface
 };
 
 /**
- * The engine proper.  Feed it references (in trace order), then
- * ask for the surface; runStackSim() below wraps the common case.
+ * The engine proper.  Feed it a stream's blocks (trace/fanout) and
+ * finish(), or apply single references and ask for the surface;
+ * runStackSim() below wraps the common case.
  */
 class StackSimulator
 {
   public:
-    /** Throws StatusError when the grid fails validate(). */
-    explicit StackSimulator(const GeometryGrid &grid);
+    /**
+     * finish() measures after the first @p warmup_refs references.
+     * Throws StatusError when the grid fails validate().
+     */
+    explicit StackSimulator(const GeometryGrid &grid,
+                            std::uint64_t warmup_refs = 0);
 
-    /** Apply one reference to every grid geometry at once. */
+    /** Apply one reference to every grid geometry at once,
+     *  tracking first touches itself. */
     void access(const MemoryReference &ref);
 
-    /** Apply @p count references from @p refs in order. */
-    void accessBatch(const MemoryReference *refs, std::size_t count);
+    /** Apply @p block's references in order, taking first touches
+     *  from its flags.  Blocks must not straddle the warm-up end
+     *  (BlockFanout's split). */
+    void feed(const StreamBlock &block);
 
-    /** Same switch as SetAssocCache::setColdTracking. */
-    void setColdTracking(bool enabled);
+    /** The post-warm-up window of the blocks fed so far. */
+    GeometryHitSurface finish() const;
 
     /** Current cumulative per-geometry statistics. */
     GeometryHitSurface surface() const;
@@ -175,15 +185,19 @@ class StackSimulator
     std::uint64_t instructions_ = 0;
     std::uint64_t storeBytes_ = 0;
     std::uint64_t coldMisses_ = 0;
-    bool trackCold_ = true;
     std::unordered_set<Addr> touchedLines_;
+
+    std::uint64_t warmupRefs_ = 0;
+    std::optional<GeometryHitSurface> warm_;
+
+    void access(const MemoryReference &ref, bool first_touch);
 };
 
 /**
  * Run @p refs references of @p source (reset first) through one
  * stack-simulation pass — the single-pass counterpart of calling
  * runCacheSim once per grid cell, with identical warmup-window and
- * cold-tracking semantics.  Consumes the source via fillBatch.
+ * cold-tracking semantics.  The one-reader case of feed().
  */
 GeometryHitSurface runStackSim(const GeometryGrid &grid,
                                TraceSource &source,

@@ -118,23 +118,37 @@ runCacheSim(const CacheConfig &config, TraceSource &source,
     UATM_PROFILE_SCOPE("cache.run_sim");
     UATM_ASSERT(warmup_refs <= refs,
                 "warmup longer than the whole run");
-    source.reset();
-    SetAssocCache cache(config);
-    // Long runs don't need the cold-miss hash set.
-    cache.setColdTracking(refs <= (1u << 22));
+    CacheRun run(config, warmup_refs);
+    streamTo(source, refs, config.lineBytes, warmup_refs,
+             [&run](const StreamBlock &block) { run.feed(block); });
+    return run.finish();
+}
 
-    BatchPump batches(source);
-    const auto simulate = [&cache](const MemoryReference *batch,
-                                   std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i)
-            cache.access(batch[i]);
-    };
-    batches.pump(warmup_refs, simulate);
-    // Measure only the post-warmup window.
-    const CacheStats warm = cache.stats();
-    batches.pump(refs, simulate);
+CacheRun::CacheRun(const CacheConfig &config,
+                   std::uint64_t warmup_refs)
+    : cache_(config), warmupRefs_(warmup_refs)
+{
+    // First touches come with the stream's blocks.
+    cache_.setColdTracking(false);
+}
 
-    CacheStats measured = cache.stats();
+void
+CacheRun::feed(const StreamBlock &block)
+{
+    if (!warm_ && block.first >= warmupRefs_)
+        warm_ = cache_.stats();
+    const std::uint8_t *first_touch =
+        block.firstTouch(cache_.config().lineBytes);
+    for (std::size_t i = 0; i < block.count; ++i)
+        cache_.access(block.refs[i], first_touch && first_touch[i]);
+}
+
+CacheRunResult
+CacheRun::finish() const
+{
+    // A stream that ran dry inside the warm-up measures nothing.
+    const CacheStats warm = warm_ ? *warm_ : cache_.stats();
+    CacheStats measured = cache_.stats();
     measured.accesses -= warm.accesses;
     measured.loads -= warm.loads;
     measured.stores -= warm.stores;
@@ -148,7 +162,7 @@ runCacheSim(const CacheConfig &config, TraceSource &source,
     measured.coldMisses -= warm.coldMisses;
     measured.instructions -= warm.instructions;
 
-    return CacheRunResult{cache.config(), measured};
+    return CacheRunResult{cache_.config(), measured};
 }
 
 namespace {

@@ -17,6 +17,7 @@
 
 #include "cache/cache.hh"
 #include "cache/stack_sim.hh"
+#include "trace/fanout.hh"
 #include "trace/source.hh"
 
 namespace uatm {
@@ -39,11 +40,34 @@ struct CacheRunResult
  * Run @p refs references of @p source (reset first) through a fresh
  * cache of @p config.  Optionally skip a warmup prefix from the
  * statistics so compulsory-miss transients don't pollute steady-
- * state hit ratios.
+ * state hit ratios.  The one-reader case of CacheRun.
  */
 CacheRunResult runCacheSim(const CacheConfig &config,
                            TraceSource &source, std::uint64_t refs,
                            std::uint64_t warmup_refs = 0);
+
+/**
+ * runCacheSim as a stream reader: a fresh cache fed a stream's
+ * blocks in order (trace/fanout), measuring after the first
+ * @p warmup_refs references.  The stream's blocks must not
+ * straddle that position (BlockFanout's split).
+ */
+class CacheRun
+{
+  public:
+    /** Throws StatusError when @p config fails validate(). */
+    CacheRun(const CacheConfig &config, std::uint64_t warmup_refs);
+
+    void feed(const StreamBlock &block);
+
+    /** The post-warm-up window's result. */
+    CacheRunResult finish() const;
+
+  private:
+    SetAssocCache cache_;
+    std::uint64_t warmupRefs_;
+    std::optional<CacheStats> warm_;
+};
 
 /** (size or line, hit ratio) sample from a sweep. */
 struct SweepPoint

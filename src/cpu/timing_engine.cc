@@ -357,23 +357,44 @@ TimingStats
 TimingEngine::run(TraceSource &source, std::uint64_t max_refs)
 {
     UATM_PROFILE_SCOPE("engine.run");
-    obs::EventTracer &tracer = *tracer_;
-    source.reset();
+    begin();
+    streamTo(source, max_refs, cache_.config().lineBytes, 0,
+             [this](const StreamBlock &block) { feed(block); });
+    return finish();
+}
+
+void
+TimingEngine::begin()
+{
     cache_.reset();
-    cache_.setColdTracking(max_refs <= (1u << 22));
+    // First touches come with the stream's blocks.
+    cache_.setColdTracking(false);
     scheduler_.reset();
     inflight_.clear();
     prefetchedUntouched_.clear();
+    stats_ = TimingStats{};
+    now_ = 0;
+}
 
-    TimingStats stats;
-    Cycles now = 0;
+TimingStats
+TimingEngine::finish()
+{
+    stats_.cycles = now_;
+    return stats_;
+}
+
+void
+TimingEngine::feed(const StreamBlock &block)
+{
+    obs::EventTracer &tracer = *tracer_;
+    TimingStats &stats = stats_;
+    Cycles now = now_;
     const std::uint32_t line_bytes = cache_.config().lineBytes;
     const StallFeature feature = cpuConfig_.feature;
+    const std::uint8_t *first_touch = block.firstTouch(line_bytes);
 
-    for (std::uint64_t i = 0; i < max_refs; ++i) {
-        const auto ref = source.next();
-        if (!ref)
-            break;
+    for (std::size_t i = 0; i < block.count; ++i) {
+        const MemoryReference *ref = block.refs + i;
 
         // Non-memory instructions run one per cycle while any fill
         // proceeds in the background.
@@ -399,7 +420,8 @@ TimingEngine::run(TraceSource &source, std::uint64_t max_refs)
             pruneCompleted(issue);
         }
 
-        const AccessOutcome outcome = cache_.access(*ref);
+        const AccessOutcome outcome =
+            cache_.access(*ref, first_touch && first_touch[i]);
 
         if (outcome.hit) {
             // A hit can still stall against the line being filled.
@@ -622,9 +644,7 @@ TimingEngine::run(TraceSource &source, std::uint64_t max_refs)
         if (feature == StallFeature::FS)
             pruneCompleted(now);
     }
-
-    stats.cycles = now;
-    return stats;
+    now_ = now;
 }
 
 } // namespace uatm

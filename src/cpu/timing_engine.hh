@@ -38,6 +38,7 @@
 #include "cpu/stall_feature.hh"
 #include "memory/timing.hh"
 #include "memory/write_buffer.hh"
+#include "trace/fanout.hh"
 #include "trace/source.hh"
 #include "util/stats.hh"
 
@@ -193,9 +194,20 @@ class TimingEngine
     /**
      * Execute up to @p max_refs references of @p source (which is
      * reset first).  Returns the timing statistics; cache counters
-     * for the same run are available via cacheStats().
+     * for the same run are available via cacheStats().  The
+     * one-reader case of begin(), feed() and finish().
      */
     TimingStats run(TraceSource &source, std::uint64_t max_refs);
+
+    /** Start a run from a cold machine. */
+    void begin();
+
+    /** Execute @p block's references, in stream order, taking
+     *  cold misses from its first-touch flags. */
+    void feed(const StreamBlock &block);
+
+    /** The run's statistics; the cache's are in cacheStats(). */
+    TimingStats finish();
 
     /** Cache counters from the most recent run(). */
     const CacheStats &cacheStats() const { return cache_.stats(); }
@@ -236,6 +248,10 @@ class TimingEngine
     obs::EventTracer *tracer_; ///< never null; see setTracer()
 
     std::vector<InflightFill> inflight_;
+
+    /** The current run's clock and statistics (begin..finish). */
+    Cycles now_ = 0;
+    TimingStats stats_;
 
     /** Drop fills already complete at @p now. */
     void pruneCompleted(Cycles now);

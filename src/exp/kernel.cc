@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "cache/sweep.hh"
+#include "cpu/timing_engine.hh"
 
 namespace uatm::exp {
 
@@ -33,17 +34,6 @@ evalCachePoint(const Point &point)
                                   point.refs, point.warmupRefs));
 }
 
-/** Same stream from make().  Custom specs carry an opaque factory;
- *  within one scenario their names tell them apart. */
-bool
-sameWorkload(const WorkloadSpec &a, const WorkloadSpec &b)
-{
-    return a.isCustom() == b.isCustom() && a.method == b.method &&
-           a.params == b.params && a.seed == b.seed &&
-           a.withIFetch == b.withIFetch &&
-           a.customName == b.customName;
-}
-
 /** The surface pricing all of @p points in one stack-sim pass, or
  *  nullopt; each decision is tallied in sweepDispatchCounters(). */
 std::optional<GeometryHitSurface>
@@ -52,9 +42,7 @@ priceInOnePass(const std::vector<Point> &points)
     const Point &first = points.front();
     std::vector<CacheConfig> configs;
     for (const Point &point : points) {
-        if (point.refs != first.refs ||
-            point.warmupRefs != first.warmupRefs ||
-            !sameWorkload(point.workload, first.workload)) {
+        if (!sameStream(point, first)) {
             noteSweepDispatch(false, true, {});
             return std::nullopt;
         }
@@ -102,13 +90,167 @@ bindCacheSweep(const Scenario &scenario)
     };
 }
 
+/** One point's runCacheSim, fed by its group's stream. */
+class CacheReader final : public StreamReader
+{
+  public:
+    explicit CacheReader(const Point &point)
+        : run_(point.cache, point.warmupRefs)
+    {
+    }
+
+    void feed(const StreamBlock &block) override { run_.feed(block); }
+
+    std::vector<Expected<std::vector<Cell>>>
+    finish() override
+    {
+        return {ratioCells(run_.finish())};
+    }
+
+  private:
+    CacheRun run_;
+};
+
+/** One stack-sim pass pricing several points of a group. */
+class StackReader final : public StreamReader
+{
+  public:
+    StackReader(const GeometryGrid &grid, std::uint64_t warmup_refs,
+                std::vector<CacheConfig> configs)
+        : sim_(grid, warmup_refs), configs_(std::move(configs))
+    {
+    }
+
+    void feed(const StreamBlock &block) override { sim_.feed(block); }
+
+    std::vector<Expected<std::vector<Cell>>>
+    finish() override
+    {
+        const GeometryHitSurface surface = sim_.finish();
+        std::vector<Expected<std::vector<Cell>>> results;
+        for (const CacheConfig &config : configs_) {
+            auto stats = surface.statsFor(config);
+            if (stats.ok())
+                results.push_back(
+                    ratioCells({config, std::move(stats).value()}));
+            else
+                results.push_back(stats.status());
+        }
+        return results;
+    }
+
+  private:
+    StackSimulator sim_;
+    std::vector<CacheConfig> configs_;
+};
+
+/** One stack-sim reader for the points planStackSim takes, else
+ *  one cache per point; an invalid geometry fails as eval does. */
+std::vector<StreamReaderSlot>
+openCacheGroup(const std::vector<const Point *> &group)
+{
+    std::vector<CacheConfig> configs;
+    for (const Point *point : group)
+        configs.push_back(point->cache);
+    std::vector<StreamReaderSlot> slots;
+    const std::optional<GeometryGrid> grid = planStackSim(configs);
+    std::vector<CacheConfig> priced;
+    StreamReaderSlot pass;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+        if (grid && configs[i].validate().ok()) {
+            pass.points.push_back(i);
+            priced.push_back(configs[i]);
+        } else {
+            slots.push_back({{i}, configs[i].lineBytes,
+                             [point = group[i]] {
+                                 return std::make_unique<CacheReader>(
+                                     *point);
+                             }});
+        }
+    }
+    if (grid) {
+        pass.firstTouchLine = grid->lineBytes;
+        pass.make = [grid = *grid, warmup = group.front()->warmupRefs,
+                     priced = std::move(priced)] {
+            return std::make_unique<StackReader>(grid, warmup, priced);
+        };
+        slots.push_back(std::move(pass));
+    }
+    return slots;
+}
+
+std::vector<Cell>
+timingCells(const TimingStats &stats, const CacheStats &cache)
+{
+    return {Cell::num(cache.hitRatio() * 100, 2),
+            Cell::integer(static_cast<std::int64_t>(stats.cycles)),
+            Cell::num(stats.cpi(), 3),
+            Cell::num(stats.meanMemoryDelay(), 3)};
+}
+
+Expected<std::vector<Cell>>
+evalTimingPoint(const Point &point)
+{
+    auto source = point.workload.make();
+    if (!source.ok())
+        return source.status();
+    TimingEngine engine(point.cache, point.memory, point.writeBuffer,
+                        point.cpu);
+    const TimingStats stats = engine.run(*source.value(), point.refs);
+    return timingCells(stats, engine.cacheStats());
+}
+
+/** One point's TimingEngine, fed by its group's stream. */
+class TimingReader final : public StreamReader
+{
+  public:
+    explicit TimingReader(const Point &point)
+        : engine_(point.cache, point.memory, point.writeBuffer,
+                  point.cpu)
+    {
+        engine_.begin();
+    }
+
+    void feed(const StreamBlock &block) override
+    {
+        engine_.feed(block);
+    }
+
+    std::vector<Expected<std::vector<Cell>>>
+    finish() override
+    {
+        const TimingStats stats = engine_.finish();
+        return {timingCells(stats, engine_.cacheStats())};
+    }
+
+  private:
+    TimingEngine engine_;
+};
+
+std::vector<StreamReaderSlot>
+openTimingGroup(const std::vector<const Point *> &group)
+{
+    std::vector<StreamReaderSlot> slots;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+        slots.push_back({{i}, group[i]->cache.lineBytes,
+                         [point = group[i]] {
+                             return std::make_unique<TimingReader>(
+                                 *point);
+                         }});
+    }
+    return slots;
+}
+
 const std::vector<Kernel> &
 registry()
 {
     static const std::vector<Kernel> kKernels = {
         {"cache", "cache/v1",
          {"hit_ratio", "miss_ratio", "flush_ratio"},
-         evalCachePoint, bindCacheSweep},
+         evalCachePoint, bindCacheSweep, {openCacheGroup}, true},
+        {"timing", "timing/v1",
+         {"hr_pct", "cycles", "cpi", "mem_delay"},
+         evalTimingPoint, nullptr, {openTimingGroup}, false},
     };
     return kKernels;
 }
@@ -131,6 +273,17 @@ kernelNames()
     std::vector<std::string> names;
     for (const Kernel &kernel : registry())
         names.push_back(kernel.name);
+    return names;
+}
+
+std::vector<std::string>
+servedKernelNames()
+{
+    std::vector<std::string> names;
+    for (const Kernel &kernel : registry()) {
+        if (kernel.served)
+            names.push_back(kernel.name);
+    }
     return names;
 }
 

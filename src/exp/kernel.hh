@@ -1,13 +1,21 @@
 /**
- * @file
  * The kernel registry, shared by offline scenarios and the daemon.
- * Its one kernel, "cache", prices hit, miss and flush ratio of
- * point.cache over point.workload.  The whole-sweep hook prices all
- * of a scenario's points in one stack-sim pass when they share
- * workload, refs and warm-up and planStackSim (cache/sweep.hh)
- * allows; otherwise, and for a geometry that fails validate(), eval
- * runs per point.  The pass runs on the first point priced, so an
- * all-hit request to the daemon never pays for it.
+ *
+ * "cache" prices hit, miss and flush ratio of point.cache over
+ * point.workload.  The whole-sweep hook prices all of a scenario's
+ * points in one stack-sim pass when they read one stream
+ * (sameStream) and planStackSim (cache/sweep.hh) allows; otherwise,
+ * and for a geometry that fails validate(), eval runs per point.
+ * The pass runs on the first point priced, so an all-hit request to
+ * the daemon never pays for it.  Its stream form does the same per
+ * stream group: one stack-sim reader when the planner allows, else
+ * one cache per point.
+ *
+ * "timing" runs each point through the trace-driven TimingEngine
+ * (point.cache, memory, writeBuffer, cpu) and reports hit ratio in
+ * percent, cycles, CPI and mean memory delay; callers project the
+ * columns they show.  It is offline-only: the daemon serves
+ * "cache".
  */
 
 #ifndef UATM_EXP_KERNEL_HH
@@ -44,11 +52,28 @@ struct Kernel
      *  runner workers at once. */
     std::function<Runner::Kernel(const Scenario &)> sweep;
 
+    /** The stream-group form (Runner::run with a StreamKernel):
+     *  byte-identical to eval, each stream generated once. */
+    StreamKernel stream;
+
+    /** The daemon prices this kernel. */
+    bool served = false;
+
     /** The per-point kernel to run @p scenario with. */
     Runner::Kernel
     bind(const Scenario &scenario) const
     {
         return sweep ? sweep(scenario) : eval;
+    }
+
+    /** Run @p scenario on @p runner: by stream groups when the
+     *  kernel has them, else per point through bind(). */
+    ResultTable
+    run(Runner &runner, const Scenario &scenario) const
+    {
+        return stream.open ? runner.run(scenario, columns, stream)
+                           : runner.run(scenario, columns,
+                                        bind(scenario));
     }
 };
 
@@ -57,6 +82,9 @@ const Kernel *findKernel(const std::string &name);
 
 /** Registered kernel names, for diagnostics. */
 std::vector<std::string> kernelNames();
+
+/** Names of the kernels the daemon serves. */
+std::vector<std::string> servedKernelNames();
 
 } // namespace uatm::exp
 

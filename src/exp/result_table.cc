@@ -121,6 +121,34 @@ ResultTable::at(std::size_t row, std::size_t col) const
     return rows_[row][col];
 }
 
+Expected<std::size_t>
+ResultTable::columnIndex(const std::string &column) const
+{
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+        if (columns_[c] == column)
+            return c;
+    }
+    return Status::notFound("table '", name_, "' has no column '",
+                            column, "'");
+}
+
+ResultTable
+ResultTable::project(const std::vector<std::string> &columns) const
+{
+    std::vector<std::size_t> picked;
+    for (const std::string &column : columns)
+        picked.push_back(okOrThrow(columnIndex(column)));
+    ResultTable out(name_, columns);
+    for (const auto &row : rows_) {
+        std::vector<Cell> cells;
+        cells.reserve(picked.size());
+        for (std::size_t c : picked)
+            cells.push_back(row[c]);
+        out.addRow(std::move(cells));
+    }
+    return out;
+}
+
 std::string
 ResultTable::render(TableFormat format) const
 {

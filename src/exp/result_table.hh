@@ -104,6 +104,13 @@ class ResultTable
     std::size_t rows() const { return rows_.size(); }
     const Cell &at(std::size_t row, std::size_t col) const;
 
+    /** Index of column @p column; NotFound when absent. */
+    Expected<std::size_t> columnIndex(const std::string &column) const;
+
+    /** The same rows with only @p columns, in that order (each
+     *  must exist). */
+    ResultTable project(const std::vector<std::string> &columns) const;
+
     /** Render in the requested format. */
     std::string render(TableFormat format) const;
 

@@ -156,6 +156,308 @@ Runner::effectiveThreads(std::size_t points) const
     return threads;
 }
 
+/**
+ * Where a lane reports its points.  One sink per worker; the
+ * outcome slots it writes are pre-sized by point index, so workers
+ * never share one.
+ */
+class Runner::LaneSink
+{
+  public:
+    struct Shared
+    {
+        std::vector<std::vector<Cell>> &slots;
+        std::vector<std::optional<Status>> &errors;
+        std::atomic<bool> &aborted;
+        std::exception_ptr &firstError;
+        std::mutex &errorMutex;
+        bool failFast;
+    };
+
+    LaneSink(Shared &shared, std::vector<PointTiming> *timings,
+             unsigned worker)
+        : shared_(shared), timings_(timings), worker_(worker)
+    {
+    }
+
+    /** Point @p index priced in @p ns of this lane's time. */
+    void
+    succeed(std::size_t index, std::vector<Cell> cells,
+            std::uint64_t ns)
+    {
+        shared_.slots[index] = std::move(cells);
+        record(index, ns);
+    }
+
+    /** Point @p index failed with @p status; @p thrown is what the
+     *  kernel threw, if it threw. */
+    void
+    fail(std::size_t index, Status status, std::exception_ptr thrown,
+         std::uint64_t ns)
+    {
+        shared_.errors[index] = status;
+        record(index, ns);
+        if (!shared_.failFast)
+            return;
+        std::lock_guard<std::mutex> lock(shared_.errorMutex);
+        if (!shared_.firstError) {
+            // Rethrow what the kernel actually threw; wrap
+            // status-return failures so they still escape as an
+            // exception.
+            shared_.firstError =
+                thrown ? thrown
+                       : std::make_exception_ptr(StatusError(status));
+        }
+        // Every later lane returns at once, so the pool winds
+        // down fast.
+        shared_.aborted.store(true, std::memory_order_relaxed);
+    }
+
+    /** A fail-fast run is winding down: price nothing more (a
+     *  stream lane still leaves its ring). */
+    bool
+    aborted() const
+    {
+        return shared_.aborted.load(std::memory_order_relaxed);
+    }
+
+    /** Telemetry is armed: time each point. */
+    bool timed() const { return timings_ != nullptr; }
+
+    /** Lay this lane's points end to end from @p ns. */
+    void startLane(std::uint64_t ns) { cursorNs_ = ns; }
+
+    /** Points reported so far (progress). */
+    std::size_t reported() const { return reported_; }
+
+  private:
+    void
+    record(std::size_t index, std::uint64_t ns)
+    {
+        ++reported_;
+        if (!timings_)
+            return;
+        PointTiming timing;
+        timing.index = index;
+        timing.worker = worker_;
+        timing.startNs = cursorNs_;
+        timing.durationNs = ns;
+        cursorNs_ += ns;
+        timings_->push_back(std::move(timing));
+    }
+
+    Shared &shared_;
+    std::vector<PointTiming> *timings_;
+    unsigned worker_;
+    std::uint64_t cursorNs_ = 0;
+    std::size_t reported_ = 0;
+};
+
+namespace {
+
+/** The status a kernel failure maps to. */
+Status
+statusOf(std::exception_ptr thrown)
+{
+    try {
+        std::rethrow_exception(thrown);
+    } catch (const StatusError &e) {
+        return e.status();
+    } catch (const std::exception &e) {
+        return Status::error(ErrorCode::KernelError, e.what());
+    } catch (...) {
+        return Status::error(ErrorCode::KernelError,
+                             "unknown exception");
+    }
+}
+
+/** One stream group: its points, its lanes and, once the first
+ *  lane opens it, its source, readers and ring. */
+struct StreamGroup
+{
+    std::vector<std::size_t> points;
+    unsigned lanes = 1;
+
+    std::once_flag opened;
+    Status status;            ///< make() or open() failed
+    std::exception_ptr thrown; ///< what open() threw
+    std::unique_ptr<TraceSource> source;
+    std::vector<StreamReaderSlot> slots;
+    std::vector<std::vector<std::size_t>> laneSlots;
+    std::unique_ptr<BlockFanout> fanout;
+    /** Lanes still running; the last one frees the group. */
+    std::atomic<unsigned> running{0};
+};
+
+void
+openGroup(StreamGroup &group, const std::vector<Point> &points,
+          const StreamKernel &kernel)
+{
+    const Point &first = points[group.points.front()];
+    auto source = first.workload.make();
+    if (!source.ok()) {
+        group.status = source.status();
+        return;
+    }
+    std::vector<const Point *> members;
+    members.reserve(group.points.size());
+    for (std::size_t index : group.points)
+        members.push_back(&points[index]);
+    try {
+        group.slots = kernel.open(members);
+    } catch (...) {
+        group.thrown = std::current_exception();
+        group.status = statusOf(group.thrown);
+        return;
+    }
+    std::vector<bool> covered(members.size(), false);
+    std::vector<std::uint32_t> lines;
+    group.laneSlots.resize(group.lanes);
+    for (std::size_t s = 0; s < group.slots.size(); ++s) {
+        const StreamReaderSlot &slot = group.slots[s];
+        UATM_ASSERT(slot.make != nullptr, "a stream slot needs a make");
+        for (std::size_t position : slot.points) {
+            UATM_ASSERT(position < covered.size() &&
+                            !covered[position],
+                        "stream slots must cover each point once");
+            covered[position] = true;
+        }
+        lines.push_back(slot.firstTouchLine);
+        group.laneSlots[s % group.lanes].push_back(s);
+    }
+    UATM_ASSERT(std::find(covered.begin(), covered.end(), false) ==
+                    covered.end(),
+                "stream slots must cover every point");
+    group.fanout = std::make_unique<BlockFanout>(
+        *source.value(), first.refs, group.lanes, std::move(lines),
+        first.warmupRefs);
+    group.source = std::move(source).value();
+}
+
+/** Lane @p lane of @p group: feed its readers every block, then
+ *  report their points. */
+void
+runStreamLane(StreamGroup &group, unsigned lane,
+              const std::vector<Point> &points,
+              const StreamKernel &kernel, Runner::LaneSink &sink)
+{
+    const bool timed = sink.timed();
+    std::call_once(group.opened,
+                   [&] { openGroup(group, points, kernel); });
+    const auto since = [](Clock::time_point from) {
+        return nsBetween(from, Clock::now());
+    };
+
+    if (!group.status.ok()) {
+        if (lane == 0) {
+            for (std::size_t index : group.points)
+                sink.fail(index, group.status, group.thrown, 0);
+        }
+    } else {
+        struct Live
+        {
+            const StreamReaderSlot *slot;
+            std::unique_ptr<StreamReader> reader;
+            std::uint64_t ns = 0;
+        };
+        std::vector<Live> live;
+        const auto failSlot = [&](const StreamReaderSlot &slot,
+                                  const Status &status,
+                                  std::exception_ptr thrown,
+                                  std::uint64_t ns) {
+            for (std::size_t position : slot.points)
+                sink.fail(group.points[position], status, thrown,
+                          ns / slot.points.size());
+        };
+        for (std::size_t s : group.laneSlots[lane]) {
+            const StreamReaderSlot &slot = group.slots[s];
+            const auto start =
+                timed ? Clock::now() : Clock::time_point{};
+            try {
+                live.push_back(Live{&slot, slot.make()});
+            } catch (...) {
+                const auto thrown = std::current_exception();
+                failSlot(slot, statusOf(thrown), thrown, 0);
+                continue;
+            }
+            if (timed)
+                live.back().ns = since(start);
+        }
+        try {
+            while (!live.empty() && !sink.aborted()) {
+                const StreamBlock *block = group.fanout->next(lane);
+                if (!block)
+                    break;
+                for (std::size_t r = 0; r < live.size();) {
+                    const auto start =
+                        timed ? Clock::now() : Clock::time_point{};
+                    try {
+                        live[r].reader->feed(*block);
+                    } catch (...) {
+                        const auto thrown = std::current_exception();
+                        failSlot(*live[r].slot, statusOf(thrown),
+                                 thrown, live[r].ns);
+                        live.erase(live.begin() +
+                                   static_cast<std::ptrdiff_t>(r));
+                        continue;
+                    }
+                    if (timed)
+                        live[r].ns += since(start);
+                    ++r;
+                }
+            }
+        } catch (...) {
+            // The source itself failed: so does every live point.
+            const auto thrown = std::current_exception();
+            for (const Live &reader : live)
+                failSlot(*reader.slot, statusOf(thrown), thrown,
+                         reader.ns);
+            live.clear();
+        }
+        group.fanout->leave(lane);
+        for (Live &reader : live) {
+            if (sink.aborted())
+                break;
+            const StreamReaderSlot &slot = *reader.slot;
+            const auto start =
+                timed ? Clock::now() : Clock::time_point{};
+            std::vector<Expected<std::vector<Cell>>> results;
+            try {
+                results = reader.reader->finish();
+            } catch (...) {
+                const auto thrown = std::current_exception();
+                failSlot(slot, statusOf(thrown), thrown, reader.ns);
+                continue;
+            }
+            UATM_ASSERT(results.size() == slot.points.size(),
+                        "a stream reader priced ", results.size(),
+                        " of its ", slot.points.size(), " points");
+            if (timed)
+                reader.ns += since(start);
+            const std::uint64_t share =
+                reader.ns / slot.points.size();
+            for (std::size_t j = 0; j < results.size(); ++j) {
+                const std::size_t index =
+                    group.points[slot.points[j]];
+                if (results[j].ok())
+                    sink.succeed(index,
+                                 std::move(results[j]).value(),
+                                 share);
+                else
+                    sink.fail(index, results[j].status(), nullptr,
+                              share);
+            }
+        }
+    }
+    if (group.running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        group.fanout.reset();
+        group.slots.clear();
+        group.source.reset();
+    }
+}
+
+} // namespace
+
 ResultTable
 Runner::run(const Scenario &scenario,
             const std::vector<std::string> &value_columns,
@@ -164,10 +466,97 @@ Runner::run(const Scenario &scenario,
     UATM_ASSERT(kernel != nullptr, "runner needs a kernel");
 
     const auto expandStart = Clock::now();
-    std::vector<Point> points = scenario.expand();
+    const std::vector<Point> points = scenario.expand();
     const std::uint64_t expandNs =
         nsBetween(expandStart, Clock::now());
 
+    // One lane per point.
+    return runLanes(
+        scenario, points, expandNs, value_columns, points.size(),
+        [&](std::size_t i, LaneSink &sink) {
+            if (sink.aborted())
+                return;
+            std::exception_ptr thrown;
+            std::optional<Expected<std::vector<Cell>>> cells;
+            try {
+                cells = kernel(points[i]);
+            } catch (...) {
+                thrown = std::current_exception();
+            }
+            // The scheduler times a one-point lane.
+            if (thrown)
+                sink.fail(i, statusOf(thrown), thrown, 0);
+            else if (cells->ok())
+                sink.succeed(i, std::move(*cells).value(), 0);
+            else
+                sink.fail(i, cells->status(), nullptr, 0);
+        });
+}
+
+ResultTable
+Runner::run(const Scenario &scenario,
+            const std::vector<std::string> &value_columns,
+            const StreamKernel &kernel)
+{
+    UATM_ASSERT(kernel.open != nullptr, "runner needs a kernel");
+
+    const auto expandStart = Clock::now();
+    const std::vector<Point> points = scenario.expand();
+    const std::uint64_t expandNs =
+        nsBetween(expandStart, Clock::now());
+
+    std::vector<std::unique_ptr<StreamGroup>> groups;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        auto same = std::find_if(
+            groups.begin(), groups.end(), [&](const auto &group) {
+                return sameStream(points[group->points.front()],
+                                  points[i]);
+            });
+        if (same == groups.end()) {
+            groups.push_back(std::make_unique<StreamGroup>());
+            same = groups.end() - 1;
+        }
+        (*same)->points.push_back(i);
+    }
+
+    // A group gets lanes in proportion to its share of the points,
+    // at most one per point and per thread.  Its lanes are
+    // consecutive and no more than the pool, so once a worker
+    // claims a group's first lane the others get workers too (a
+    // lane can wait on a sibling that has not started yet).
+    const unsigned threads = effectiveThreads(points.size());
+    struct LaneRef
+    {
+        StreamGroup *group;
+        unsigned lane;
+    };
+    std::vector<LaneRef> lanes;
+    for (const auto &group : groups) {
+        const std::size_t size = group->points.size();
+        const std::size_t share =
+            (threads * size + points.size() - 1) / points.size();
+        group->lanes = static_cast<unsigned>(std::max<std::size_t>(
+            1, std::min({share, size, std::size_t{threads}})));
+        group->running.store(group->lanes);
+        for (unsigned l = 0; l < group->lanes; ++l)
+            lanes.push_back(LaneRef{group.get(), l});
+    }
+
+    return runLanes(scenario, points, expandNs, value_columns,
+                    lanes.size(),
+                    [&](std::size_t i, LaneSink &sink) {
+                        runStreamLane(*lanes[i].group, lanes[i].lane,
+                                      points, kernel, sink);
+                    });
+}
+
+ResultTable
+Runner::runLanes(const Scenario &scenario,
+                 const std::vector<Point> &points,
+                 std::uint64_t expandNs,
+                 const std::vector<std::string> &value_columns,
+                 std::size_t lanes, const LaneBody &body)
+{
     std::vector<std::string> columns = scenario.axisNames();
     columns.insert(columns.end(), value_columns.begin(),
                    value_columns.end());
@@ -178,7 +567,7 @@ Runner::run(const Scenario &scenario,
                          : std::thread::hardware_concurrency();
     if (requested == 0)
         requested = 1;
-    const unsigned threads = effectiveThreads(points.size());
+    const unsigned threads = effectiveThreads(lanes);
 
     obs::EventTracer &tracer = obs::globalTracer();
     const bool traceArmed = tracer.enabled();
@@ -190,9 +579,12 @@ Runner::run(const Scenario &scenario,
     // failures land by index, not by completion order.
     std::vector<std::optional<Status>> errors(points.size());
     std::atomic<std::size_t> next{0};
+    std::atomic<bool> aborted{false};
     std::atomic<double> kernelSeconds{0.0};
     std::exception_ptr firstError;
     std::mutex errorMutex;
+    LaneSink::Shared shared{slots, errors, aborted, firstError,
+                            errorMutex, options_.failFast};
 
     // Progress heartbeat: 1 means auto-size the interval to ~5%
     // of the grid so big sweeps print ~20 lines, small ones one.
@@ -205,26 +597,27 @@ Runner::run(const Scenario &scenario,
     std::atomic<std::size_t> completed{0};
     std::mutex progressMutex;
 
-    const bool failFast = options_.failFast;
-    const unsigned lanes = std::max(threads, 1u);
+    const unsigned workers = std::max(threads, 1u);
 
-    // Telemetry lands in per-lane slots sized before the pool
-    // spawns: workers write only their own lane, so recording is
+    // Telemetry lands in per-worker slots sized before the pool
+    // spawns: workers write only their own slot, so recording is
     // lock-free and needs no synchronisation beyond the join.
     std::vector<WorkerTelemetry> laneTelemetry(
-        telemetryArmed ? lanes : 0);
+        telemetryArmed ? workers : 0);
     std::vector<std::vector<PointTiming>> lanePoints(
-        telemetryArmed ? lanes : 0);
+        telemetryArmed ? workers : 0);
     std::vector<std::uint64_t> laneStartNs(
-        telemetryArmed ? lanes : 0, 0);
+        telemetryArmed ? workers : 0, 0);
 
     const auto wallStart = Clock::now();
 
-    auto worker = [&](unsigned lane) {
+    auto worker = [&](unsigned id) {
         double localSeconds = 0.0;
         WorkerTelemetry tel;
-        tel.worker = lane;
+        tel.worker = id;
         std::vector<PointTiming> localPoints;
+        LaneSink sink(shared, telemetryArmed ? &localPoints : nullptr,
+                      id);
         // Per-worker hardware counters: opened on the worker's
         // own thread so the group counts exactly this worker.
         // Unavailability (paranoid, seccomp, no PMU) is recorded,
@@ -233,8 +626,8 @@ Runner::run(const Scenario &scenario,
         obs::PerfReading counterBegin;
         const auto lifeStart = Clock::now();
         if (telemetryArmed) {
-            laneStartNs[lane] = nsBetween(wallStart, lifeStart);
-            localPoints.reserve(points.size() / lanes + 1);
+            laneStartNs[id] = nsBetween(wallStart, lifeStart);
+            localPoints.reserve(points.size() / workers + 1);
             counters.emplace();
             if (counters->available()) {
                 counters->start();
@@ -245,77 +638,36 @@ Runner::run(const Scenario &scenario,
             Clock::time_point acquireStart;
             if (telemetryArmed)
                 acquireStart = Clock::now();
-            std::size_t i =
+            const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= points.size())
+            if (i >= lanes)
                 break;
-            auto start = Clock::now();
+            const auto start = Clock::now();
             if (telemetryArmed)
                 tel.acquireNs += nsBetween(acquireStart, start);
-            bool failed = false;
-            std::exception_ptr thrown;
-            try {
-                auto cells = kernel(points[i]);
-                if (cells.ok()) {
-                    slots[i] = std::move(cells).value();
-                } else {
-                    errors[i] = cells.status();
-                    failed = true;
-                }
-            } catch (const StatusError &e) {
-                errors[i] = e.status();
-                failed = true;
-                thrown = std::current_exception();
-            } catch (const std::exception &e) {
-                errors[i] = Status::error(ErrorCode::KernelError,
-                                          e.what());
-                failed = true;
-                thrown = std::current_exception();
-            } catch (...) {
-                errors[i] = Status::error(ErrorCode::KernelError,
-                                          "unknown exception");
-                failed = true;
-                thrown = std::current_exception();
-            }
-            if (failed && failFast) {
-                std::lock_guard<std::mutex> lock(errorMutex);
-                if (!firstError) {
-                    // Rethrow what the kernel actually threw; wrap
-                    // status-return failures so they still escape
-                    // as an exception.
-                    firstError = thrown
-                        ? thrown
-                        : std::make_exception_ptr(
-                              StatusError(*errors[i]));
-                }
-                // Drain the queue so the pool winds down fast.
-                next.store(points.size(),
-                           std::memory_order_relaxed);
-                break;
-            }
-            auto end = Clock::now();
+            const std::size_t before = sink.reported();
+            sink.startLane(nsBetween(wallStart, start));
+            body(i, sink);
+            const auto end = Clock::now();
             localSeconds +=
-                std::chrono::duration<double>(end - start)
-                    .count();
+                std::chrono::duration<double>(end - start).count();
             if (telemetryArmed) {
-                const std::uint64_t durationNs =
-                    nsBetween(start, end);
-                tel.kernelNs += durationNs;
-                ++tel.points;
-                PointTiming timing;
-                timing.index = i;
-                timing.worker = lane;
-                timing.startNs = nsBetween(wallStart, start);
-                timing.durationNs = durationNs;
-                localPoints.push_back(std::move(timing));
+                const std::uint64_t ns = nsBetween(start, end);
+                tel.kernelNs += ns;
+                tel.points += sink.reported() - before;
+                // A lane of one point: the point took the lane.
+                if (sink.reported() - before == 1)
+                    localPoints.back().durationNs = ns;
             }
             if (progressEvery) {
+                const std::size_t count = sink.reported() - before;
                 const std::size_t done =
-                    completed.fetch_add(
-                        1, std::memory_order_relaxed) +
-                    1;
-                if (done % progressEvery == 0 ||
-                    done == points.size()) {
+                    completed.fetch_add(count,
+                                        std::memory_order_relaxed) +
+                    count;
+                if (count && (done / progressEvery !=
+                                  (done - count) / progressEvery ||
+                              done == points.size())) {
                     const double elapsed =
                         static_cast<double>(nsBetween(
                             wallStart, Clock::now())) /
@@ -356,8 +708,8 @@ Runner::run(const Scenario &scenario,
                 tel.counters = obs::scaleDelta(counterBegin,
                                                counters->read());
             }
-            laneTelemetry[lane] = tel;
-            lanePoints[lane] = std::move(localPoints);
+            laneTelemetry[id] = tel;
+            lanePoints[id] = std::move(localPoints);
         }
     };
 
@@ -443,7 +795,7 @@ Runner::run(const Scenario &scenario,
              ") failed: ", failure.status.toString());
     }
 
-    if (failFast && firstError)
+    if (options_.failFast && firstError)
         std::rethrow_exception(firstError);
 
     const auto mergeStart = Clock::now();

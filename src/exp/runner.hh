@@ -18,6 +18,16 @@
  * lastFailures().  Set RunnerOptions::failFast to restore the old
  * first-failure-aborts-the-run behaviour.
  *
+ * Stream kernels (run() with a StreamKernel) price points that
+ * read the same reference stream (sameStream) as one group: the
+ * stream is generated once into a bounded ring (trace/fanout) and
+ * every point's simulator reads it in lockstep.  A group's
+ * simulators are dealt over lanes, at most one per worker, that
+ * run at the same time, so generating block k + 1 overlaps
+ * simulating block k.  A group of one point is the plain per-point path.  Results
+ * still land by point index, so tables stay byte-identical at any
+ * thread count.
+ *
  * Point kernels must be self-contained: no shared mutable state
  * beyond what the Point carries.  The process-wide event tracer
  * (UATM_TRACE) is not thread-safe; a multi-threaded run suspends
@@ -47,13 +57,16 @@
 #define UATM_EXP_RUNNER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exp/result_table.hh"
 #include "exp/scenario.hh"
 #include "exp/telemetry.hh"
+#include "trace/fanout.hh"
 #include "util/status.hh"
 
 namespace uatm::obs {
@@ -120,6 +133,49 @@ struct RunnerStats
                        const std::string &prefix = "runner") const;
 };
 
+/**
+ * One simulator of a stream group: fed the group's shared stream
+ * block by block, it prices one or more of the group's points.
+ */
+class StreamReader
+{
+  public:
+    virtual ~StreamReader() = default;
+
+    /** The stream's next block. */
+    virtual void feed(const StreamBlock &block) = 0;
+
+    /** One result per point of the reader's slot, in slot order. */
+    virtual std::vector<Expected<std::vector<Cell>>> finish() = 0;
+};
+
+/** One reader of a group: the group positions of the points it
+ *  prices and how to build it. */
+struct StreamReaderSlot
+{
+    std::vector<std::size_t> points;
+
+    /** Line size whose first-touch flags the reader reads. */
+    std::uint32_t firstTouchLine = 0;
+
+    /** Builds the reader on the worker that feeds it, so a group's
+     *  readers are built in parallel; what it throws fails the
+     *  slot's points. */
+    std::function<std::unique_ptr<StreamReader>()> make;
+};
+
+/**
+ * A kernel over stream groups.  open() gets the points of one group
+ * (in expansion order) and returns slots covering each position
+ * exactly once.
+ */
+struct StreamKernel
+{
+    std::function<std::vector<StreamReaderSlot>(
+        const std::vector<const Point *> &group)>
+        open;
+};
+
 class Runner
 {
   public:
@@ -146,6 +202,15 @@ class Runner
                     const std::vector<std::string> &value_columns,
                     const Kernel &kernel);
 
+    /**
+     * The same table, with the points grouped by stream and each
+     * group priced by @p kernel's readers in lockstep.  A workload
+     * whose make() fails fails every point of its group.
+     */
+    ResultTable run(const Scenario &scenario,
+                    const std::vector<std::string> &value_columns,
+                    const StreamKernel &kernel);
+
     /** Stats from the most recent run(). */
     const RunnerStats &lastStats() const { return stats_; }
 
@@ -167,7 +232,22 @@ class Runner
     /** Threads run() would actually use right now. */
     unsigned effectiveThreads(std::size_t points) const;
 
+    /** Where a lane reports its points (runner.cc). */
+    class LaneSink;
+
   private:
+    /** Prices lane @p lane, reporting each of its points to the
+     *  sink. */
+    using LaneBody = std::function<void(std::size_t lane, LaneSink &)>;
+
+    /** The one scheduler: runs @p lanes lanes of @p points on the
+     *  pool and merges the table. */
+    ResultTable runLanes(const Scenario &scenario,
+                         const std::vector<Point> &points,
+                         std::uint64_t expandNs,
+                         const std::vector<std::string> &value_columns,
+                         std::size_t lanes, const LaneBody &body);
+
     RunnerOptions options_;
     RunnerStats stats_;
     std::vector<PointFailure> failures_;

@@ -60,6 +60,18 @@ Point::label() const
     return out;
 }
 
+bool
+sameStream(const Point &a, const Point &b)
+{
+    const WorkloadSpec &x = a.workload;
+    const WorkloadSpec &y = b.workload;
+    return a.refs == b.refs && a.warmupRefs == b.warmupRefs &&
+           x.isCustom() == y.isCustom() && x.method == y.method &&
+           x.params == y.params && x.seed == y.seed &&
+           x.withIFetch == y.withIFetch &&
+           x.customName == y.customName;
+}
+
 Scenario::Scenario(std::string name, std::string description)
     : name_(std::move(name)), description_(std::move(description))
 {

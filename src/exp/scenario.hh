@@ -83,6 +83,13 @@ struct Point
     std::string label() const;
 };
 
+/**
+ * Whether @p a and @p b read the same reference stream: the same
+ * workload (from make()), refs and warm-up.  Custom specs carry an
+ * opaque factory; within one scenario their names tell them apart.
+ */
+bool sameStream(const Point &a, const Point &b);
+
 class Scenario
 {
   public:

@@ -50,9 +50,7 @@ runGeometrySweep(const GeometrySweep &spec, Runner &runner,
                  std::vector<SweepPoint> *points)
 {
     const Scenario scenario = makeGeometryScenario(spec);
-    const Kernel &kernel = *findKernel("cache");
-    ResultTable table =
-        runner.run(scenario, kernel.columns, kernel.bind(scenario));
+    ResultTable table = findKernel("cache")->run(runner, scenario);
     if (points) {
         // Cell::value() is the exact, unrounded ratio.
         points->assign(table.rows(), SweepPoint{});

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/json.hh"
@@ -140,6 +141,32 @@ RunnerTelemetry::writeJson(const std::string &path) const
     return Status();
 }
 
+namespace {
+
+/**
+ * Read the optional unsigned field @p key of @p object into @p out
+ * (left alone when absent): an integer in [0, max], checked before
+ * any cast, or a ParseError.
+ */
+template <typename T>
+Status
+readUnsigned(const obs::JsonValue &object, const std::string &key,
+             T &out)
+{
+    const obs::JsonValue *value = object.find(key);
+    if (!value)
+        return Status();
+    const Expected<std::uint64_t> read =
+        value->asUnsigned(key, std::numeric_limits<T>::max());
+    if (!read.ok())
+        return Status::parseError("telemetry: ",
+                                  read.status().message());
+    out = static_cast<T>(read.value());
+    return Status();
+}
+
+} // namespace
+
 Expected<RunnerTelemetry>
 RunnerTelemetry::fromJson(const obs::JsonValue &doc)
 {
@@ -150,8 +177,12 @@ RunnerTelemetry::fromJson(const obs::JsonValue &doc)
         return Status::parseError(
             "not a runner_telemetry document (kind='",
             doc.stringOr("kind", "<missing>"), "')");
-    const int version = static_cast<int>(
-        doc.numberOr("schema_version", -1));
+    // A small bounded integer: a missing or absurd version reads
+    // as unsupported, never as a wrapped cast.
+    std::uint16_t version = 0;
+    if (Status status = readUnsigned(doc, "schema_version", version);
+        !status.ok())
+        return status;
     // v1 documents lack the per-worker counters object and parse
     // with counters unavailable; anything newer than us is an
     // error rather than a silent partial read.
@@ -164,20 +195,17 @@ RunnerTelemetry::fromJson(const obs::JsonValue &doc)
     const obs::JsonValue *armed = doc.find("armed");
     t.armed = armed && armed->isBool() ? armed->asBool() : true;
     t.scenario = doc.stringOr("scenario", "");
-    t.threadsRequested = static_cast<unsigned>(
-        doc.numberOr("threads_requested", 0));
-    t.threadsUsed = static_cast<unsigned>(
-        doc.numberOr("threads_used", 0));
-    t.pointCount = static_cast<std::uint64_t>(
-        doc.numberOr("points", 0));
-    t.pointsFailed = static_cast<std::uint64_t>(
-        doc.numberOr("points_failed", 0));
-    t.wallNs = static_cast<std::uint64_t>(
-        doc.numberOr("wall_ns", 0));
-    t.expandNs = static_cast<std::uint64_t>(
-        doc.numberOr("expand_ns", 0));
-    t.mergeNs = static_cast<std::uint64_t>(
-        doc.numberOr("merge_ns", 0));
+    for (Status status :
+         {readUnsigned(doc, "threads_requested", t.threadsRequested),
+          readUnsigned(doc, "threads_used", t.threadsUsed),
+          readUnsigned(doc, "points", t.pointCount),
+          readUnsigned(doc, "points_failed", t.pointsFailed),
+          readUnsigned(doc, "wall_ns", t.wallNs),
+          readUnsigned(doc, "expand_ns", t.expandNs),
+          readUnsigned(doc, "merge_ns", t.mergeNs)}) {
+        if (!status.ok())
+            return status;
+    }
 
     const obs::JsonValue *workers = doc.find("workers");
     if (!workers || !workers->isArray())
@@ -188,18 +216,16 @@ RunnerTelemetry::fromJson(const obs::JsonValue &doc)
             return Status::parseError(
                 "'workers' entry is not an object");
         WorkerTelemetry w;
-        w.worker = static_cast<unsigned>(
-            item.numberOr("worker", 0));
-        w.points = static_cast<std::uint64_t>(
-            item.numberOr("points", 0));
-        w.kernelNs = static_cast<std::uint64_t>(
-            item.numberOr("kernel_ns", 0));
-        w.acquireNs = static_cast<std::uint64_t>(
-            item.numberOr("acquire_ns", 0));
-        w.idleNs = static_cast<std::uint64_t>(
-            item.numberOr("idle_ns", 0));
-        w.lifetimeNs = static_cast<std::uint64_t>(
-            item.numberOr("lifetime_ns", 0));
+        for (Status status :
+             {readUnsigned(item, "worker", w.worker),
+              readUnsigned(item, "points", w.points),
+              readUnsigned(item, "kernel_ns", w.kernelNs),
+              readUnsigned(item, "acquire_ns", w.acquireNs),
+              readUnsigned(item, "idle_ns", w.idleNs),
+              readUnsigned(item, "lifetime_ns", w.lifetimeNs)}) {
+            if (!status.ok())
+                return status;
+        }
         if (const obs::JsonValue *counters =
                 item.find("counters")) {
             w.counters =
@@ -216,14 +242,14 @@ RunnerTelemetry::fromJson(const obs::JsonValue &doc)
                 return Status::parseError(
                     "'point_durations' entry is not an object");
             PointTiming p;
-            p.index = static_cast<std::size_t>(
-                item.numberOr("index", 0));
-            p.worker = static_cast<unsigned>(
-                item.numberOr("worker", 0));
-            p.startNs = static_cast<std::uint64_t>(
-                item.numberOr("start_ns", 0));
-            p.durationNs = static_cast<std::uint64_t>(
-                item.numberOr("ns", 0));
+            for (Status status :
+                 {readUnsigned(item, "index", p.index),
+                  readUnsigned(item, "worker", p.worker),
+                  readUnsigned(item, "start_ns", p.startNs),
+                  readUnsigned(item, "ns", p.durationNs)}) {
+                if (!status.ok())
+                    return status;
+            }
             p.label = item.stringOr("label", "");
             t.points.push_back(std::move(p));
         }

@@ -191,7 +191,7 @@ Server::handleWorkloads()
     }
     json.endArray();
     json.key("kernels").beginArray();
-    for (const std::string &name : exp::kernelNames())
+    for (const std::string &name : exp::servedKernelNames())
         json.value(name);
     json.endArray();
     json.key("axes").beginArray();

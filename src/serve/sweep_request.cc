@@ -240,10 +240,11 @@ parseSweepRequest(std::string_view json)
         }
     }
 
-    if (!exp::findKernel(request.kernel)) {
+    if (const exp::Kernel *kernel = exp::findKernel(request.kernel);
+        !kernel || !kernel->served) {
         return Status::notFound(
             "sweep request: unknown kernel \"", request.kernel,
-            "\" (known: ", joined(exp::kernelNames()), ")");
+            "\" (known: ", joined(exp::servedKernelNames()), ")");
     }
 
     // The scenario was default-constructed before name/description

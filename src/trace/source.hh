@@ -10,7 +10,6 @@
 #ifndef UATM_TRACE_SOURCE_HH
 #define UATM_TRACE_SOURCE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -68,48 +67,6 @@ class TraceSource
      * tests and for capturing a generator's output to disk.
      */
     std::vector<MemoryReference> drain(std::size_t max_refs);
-};
-
-/**
- * Pulls a source through fillBatch() into a fixed buffer, so a hot
- * consumer pays one virtual call per chunk instead of one next()
- * per reference.  Each pump() call continues where the last one
- * stopped, which lets a caller split a run into a warm-up window
- * and a measured window at an exact reference count.
- */
-class BatchPump
-{
-  public:
-    static constexpr std::size_t kBatchRefs = 2048;
-
-    /** @param source borrowed; must outlive the pump. */
-    explicit BatchPump(TraceSource &source) : source_(source) {}
-
-    /**
-     * Hand references to @p consume(refs, count) until @p until
-     * have been pulled in total or the source runs dry; once dry,
-     * later calls pull nothing.
-     */
-    template <typename Consume>
-    void
-    pump(std::uint64_t until, Consume &&consume)
-    {
-        while (!exhausted_ && pulled_ < until) {
-            const auto want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(kBatchRefs, until - pulled_));
-            const std::size_t got = source_.fillBatch(buffer_, want);
-            consume(static_cast<const MemoryReference *>(buffer_),
-                    got);
-            pulled_ += got;
-            exhausted_ = got < want;
-        }
-    }
-
-  private:
-    TraceSource &source_;
-    MemoryReference buffer_[kBatchRefs];
-    std::uint64_t pulled_ = 0;
-    bool exhausted_ = false;
 };
 
 /**

@@ -29,6 +29,7 @@
 #include "util/table.hh"
 
 // Workload substrate.
+#include "trace/fanout.hh"
 #include "trace/generators.hh"
 #include "trace/ifetch.hh"
 #include "trace/io.hh"
@@ -69,6 +70,7 @@
 #include "linesize/miss_table.hh"
 
 // Experiment layer: scenarios, the parallel runner, result tables.
+#include "exp/kernel.hh"
 #include "exp/result_table.hh"
 #include "exp/runner.hh"
 #include "exp/scenario.hh"

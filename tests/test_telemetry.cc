@@ -427,6 +427,50 @@ TEST(RunnerTelemetry, FromJsonRejectsForeignDocuments)
         RunnerTelemetry::fromJson(badVersion.value).ok());
 }
 
+TEST(RunnerTelemetry, FromJsonRejectsOutOfRangeIntegers)
+{
+    // Every integer is range-checked before any cast: negative,
+    // huge, fractional and (for an `unsigned` field) 2^32 + 1 are
+    // parse errors, never wrapped or truncated values.
+    const auto parse = [](const std::string &top,
+                          const std::string &worker) {
+        const obs::JsonParseResult parsed = obs::parseJson(
+            "{\"kind\": \"runner_telemetry\", "
+            "\"schema_version\": 2, " +
+            top + "\"workers\": [{" + worker + "}]}");
+        EXPECT_TRUE(parsed.ok) << parsed.error;
+        return RunnerTelemetry::fromJson(parsed.value);
+    };
+    ASSERT_TRUE(parse("\"threads_used\": 4294967295, ",
+                      "\"kernel_ns\": 4294967297").ok());
+    for (const char *bad : {"-1", "1e300", "4.5", "4294967297"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(
+            parse("\"threads_used\": " + std::string(bad) + ", ",
+                  "")
+                .ok());
+        EXPECT_FALSE(
+            parse("", "\"worker\": " + std::string(bad)).ok());
+    }
+    for (const char *bad : {"-1", "1e300", "4.5"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(
+            parse("\"wall_ns\": " + std::string(bad) + ", ", "")
+                .ok());
+        EXPECT_FALSE(
+            parse("", "\"kernel_ns\": " + std::string(bad)).ok());
+    }
+    for (const char *bad : {"-1", "1e300", "1.5", "4294967297"}) {
+        SCOPED_TRACE(bad);
+        const obs::JsonParseResult parsed = obs::parseJson(
+            "{\"kind\": \"runner_telemetry\", "
+            "\"schema_version\": " +
+            std::string(bad) + ", \"workers\": []}");
+        ASSERT_TRUE(parsed.ok);
+        EXPECT_FALSE(RunnerTelemetry::fromJson(parsed.value).ok());
+    }
+}
+
 TEST(RunnerTelemetry, EnvVariableArmsTelemetry)
 {
     setenv("UATM_RUNNER_TELEMETRY", "1", 1);

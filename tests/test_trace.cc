@@ -12,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "trace/fanout.hh"
 #include "trace/io.hh"
 #include "trace/lru_stack.hh"
 #include "trace/ref.hh"
@@ -347,30 +348,29 @@ TEST(WorkloadProfile, FormatMentionsName)
               std::string::npos);
 }
 
-// ------------------------------------------------------------ BatchPump
+// ---------------------------------------------------------- BlockFanout
 
-TEST(BatchPump, SplitsAtExactCountsAndStopsWhenDry)
+TEST(BlockFanout, SplitsAtTheSplitAndStopsWhenDry)
 {
     std::vector<MemoryReference> refs;
     for (Addr a = 0; a < 5000; ++a)
         refs.push_back(makeRef(RefKind::Load, a * 4));
     Trace trace(refs);
-    BatchPump batches(trace);
     std::vector<Addr> seen;
-    const auto collect = [&seen](const MemoryReference *batch,
-                                 std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i)
-            seen.push_back(batch[i].addr);
-    };
-    batches.pump(3000, collect);
-    EXPECT_EQ(seen.size(), 3000u);
-    batches.pump(9000, collect); // runs dry at 5000
+    std::uint64_t blocks = 0;
+    // Runs dry at 5000 of 9000; no block straddles 3000.
+    streamTo(trace, 9000, 32, 3000, [&](const StreamBlock &block) {
+        EXPECT_EQ(block.first, seen.size());
+        EXPECT_TRUE(block.first >= 3000 ||
+                    block.first + block.count <= 3000);
+        for (std::size_t i = 0; i < block.count; ++i)
+            seen.push_back(block.refs[i].addr);
+        ++blocks;
+    });
     ASSERT_EQ(seen.size(), 5000u);
     for (std::size_t i = 0; i < seen.size(); ++i)
         ASSERT_EQ(seen[i], i * 4);
-    trace.reset();
-    batches.pump(20000, collect); // dry stays dry
-    EXPECT_EQ(seen.size(), 5000u);
+    EXPECT_EQ(blocks, 3u); // 2048, 952 | 2000 of 2048
 }
 
 // ------------------------------------------------------------- LruStack
