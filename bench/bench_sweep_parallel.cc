@@ -4,8 +4,10 @@
  * obs::BenchSuite harness, over two scenarios at 1, 2, 4 and 8
  * threads:
  *
- *  - sweep/geometry: a cache-size sweep, priced by one stack-sim
- *    pass (little parallel work by design);
+ *  - sweep/geometry: a cache-size sweep over eight set counts,
+ *    priced by one stack-sim pass cut by set count into a shard
+ *    per worker, all reading one generated stream (at one thread,
+ *    the whole pass);
  *  - sweep/timing: 24 timing-engine designs on one stream, shaped
  *    like design_space_explorer — one generated stream, the
  *    engines split over the workers (work that parallelises).
@@ -17,14 +19,13 @@
  * telemetry armed — and to per-point evaluation, the runner's core
  * determinism contract.
  *
- * After the timed reps, one telemetry-armed timing-scenario run
- * per thread count writes RUNNER_sweep_parallel_t<n>.json next to
- * the BENCH json
- * and the scaling diagnosis (per-worker utilization, load
- * imbalance, Amdahl serial-fraction fit) prints inline; feed the
- * same files to tools/run_report for the standalone report.  With
- * UATM_TRACE set, the runner additionally emits one Chrome-trace
- * track per worker.
+ * After the timed reps, one telemetry-armed run of each family per
+ * thread count writes RUNNER_sweep_parallel_<family>_t<n>.json
+ * next to the BENCH json, and each family's scaling diagnosis
+ * (per-worker utilization, load imbalance, Amdahl serial-fraction
+ * fit) prints inline; feed one family's files to tools/run_report
+ * for the standalone report.  With UATM_TRACE set, the runner
+ * additionally emits one Chrome-trace track per worker.
  *
  *   bench_sweep_parallel [--filter=<substr>] [--list] [--reps=<n>]
  */
@@ -63,6 +64,12 @@ benchSweep()
     return spec;
 }
 
+exp::ResultTable
+geometrySweep(exp::Runner &runner)
+{
+    return exp::runGeometrySweep(benchSweep(), runner);
+}
+
 std::string
 sweepCsv(unsigned threads, bool telemetry = false)
 {
@@ -70,7 +77,7 @@ sweepCsv(unsigned threads, bool telemetry = false)
     options.threads = threads;
     options.telemetry = telemetry;
     exp::Runner runner(options);
-    return exp::runGeometrySweep(benchSweep(), runner).renderCsv();
+    return geometrySweep(runner).renderCsv();
 }
 
 /** design_space_explorer's grid: cache x bus x feature x write
@@ -137,12 +144,15 @@ bruteSweep(exp::Runner &runner)
 }
 
 /**
- * One telemetry-armed run per thread count: write the
- * RUNNER_*.json artifacts, print each diagnosis, and return the
- * (threads, wall ns) samples for the Amdahl fit.
+ * One telemetry-armed run of @p family per thread count: write the
+ * RUNNER_sweep_parallel_<family>_t<n>.json artifacts, print each
+ * diagnosis, and return the (threads, wall ns) samples for the
+ * Amdahl fit.
  */
 std::vector<std::pair<unsigned, double>>
-runTelemetrySweeps(const unsigned (&threadCounts)[4])
+runTelemetrySweeps(const unsigned (&threadCounts)[4],
+                   const std::string &family,
+                   exp::ResultTable (*sweep)(exp::Runner &))
 {
     const std::filesystem::path dir = obs::benchOutDir();
     std::vector<std::pair<unsigned, double>> samples;
@@ -151,13 +161,13 @@ runTelemetrySweeps(const unsigned (&threadCounts)[4])
         options.threads = threads;
         options.telemetry = true;
         exp::Runner runner(options);
-        const auto table = timingSweep(runner);
+        const auto table = sweep(runner);
         obs::doNotOptimize(table.rows());
         const exp::RunnerTelemetry &telemetry =
             runner.lastTelemetry();
 
         const std::filesystem::path path =
-            (dir / ("RUNNER_sweep_parallel_t" +
+            (dir / ("RUNNER_sweep_parallel_" + family + "_t" +
                     std::to_string(threads) + ".json"))
                 .lexically_normal();
         okOrFatal(telemetry.writeJson(path.string()));
@@ -272,8 +282,7 @@ run(int argc, char **argv)
             const exp::GeometrySweep spec = benchSweep();
             state.setItems(spec.values.size() * spec.refs);
             exp::Runner runner(exp::RunnerOptions{threads});
-            const auto table =
-                exp::runGeometrySweep(spec, runner);
+            const auto table = geometrySweep(runner);
             obs::doNotOptimize(table.rows());
             state.setThreads(threads,
                              runner.lastStats().threadsUsed);
@@ -341,13 +350,19 @@ run(int argc, char **argv)
                         brute / geometry);
         }
 
-        std::printf("\nscaling diagnosis (one telemetry-armed "
-                    "run per thread count):\n");
-        const auto samples = runTelemetrySweeps(threadCounts);
-        std::fputs(
-            exp::formatAmdahlFit(exp::fitAmdahl(samples), samples)
-                .c_str(),
-            stdout);
+        for (const auto &[family, sweep] :
+             {std::pair{"geometry", &geometrySweep},
+              std::pair{"timing", &timingSweep}}) {
+            std::printf("\n%s scaling diagnosis (one "
+                        "telemetry-armed run per thread count):\n",
+                        family);
+            const auto samples =
+                runTelemetrySweeps(threadCounts, family, sweep);
+            std::fputs(exp::formatAmdahlFit(exp::fitAmdahl(samples),
+                                            samples)
+                           .c_str(),
+                       stdout);
+        }
     }
     return 0;
 }

@@ -47,15 +47,14 @@ run(int argc, char **argv)
     const auto cli = examples::parseRunnerOptions(options);
 
     const auto workload = examples::parseWorkloadOptions(options);
-    const auto mu = static_cast<Cycles>(options.getInt("mu"));
+    const auto mu = examples::countOption<Cycles>(options, "mu");
     const auto line =
-        static_cast<std::uint32_t>(options.getInt("line"));
+        examples::countOption<std::uint32_t>(options, "line");
 
     exp::Scenario scenario(
         "design_space",
         "cache size x bus width x stall feature x write buffer");
-    scenario.refs =
-        static_cast<std::uint64_t>(options.getInt("refs"));
+    scenario.refs = examples::countOption(options, "refs");
     scenario.workload = workload;
     scenario.cache.assoc = 2;
     scenario.cache.lineBytes = line;

@@ -13,6 +13,7 @@
 #define UATM_EXAMPLES_EXAMPLE_CLI_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -43,13 +44,32 @@ addWorkloadOptions(OptionParser &options,
     options.addInt("seed", default_seed, "workload seed");
 }
 
+/** Most worker threads --threads accepts: more is a typo, not a
+ *  machine. */
+inline constexpr std::uint64_t kMaxThreads = 1024;
+
+/**
+ * Integer option @p name as a count in [@p min, @p max] of type T;
+ * a sign, a fraction or a value out of range is a usage error
+ * (fatal()), never a cast.
+ */
+template <typename T = std::uint64_t>
+T
+countOption(const OptionParser &options, const std::string &name,
+            std::uint64_t min = 1,
+            std::uint64_t max = std::numeric_limits<T>::max())
+{
+    return static_cast<T>(
+        valueOrFatal(options.getUnsigned(name, min, max)));
+}
+
 /** Parse --workload/--seed; a bad method or param is fatal(). */
 inline exp::WorkloadSpec
 parseWorkloadOptions(const OptionParser &options)
 {
     return valueOrFatal(exp::WorkloadSpec::parse(
         options.getString("workload"),
-        static_cast<std::uint64_t>(options.getInt("seed"))));
+        countOption(options, "seed", 0)));
 }
 
 /** Declare --threads, --format, --out and --fail-fast. */
@@ -102,7 +122,7 @@ parseRunnerOptions(const OptionParser &options)
 {
     RunnerCli cli;
     cli.threads =
-        static_cast<unsigned>(options.getInt("threads"));
+        countOption<unsigned>(options, "threads", 0, kMaxThreads);
     cli.failFast = options.getFlag("fail-fast");
     cli.format =
         valueOrFatal(exp::parseTableFormat(options.getString("format")));

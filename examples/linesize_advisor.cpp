@@ -51,20 +51,21 @@ run(int argc, char **argv)
         options.getDouble("latency-ns"),
         options.getDouble("ns-per-byte"),
         options.getDouble("cycle-ns"),
-        static_cast<double>(options.getInt("bus")));
+        static_cast<double>(examples::countOption(options, "bus")));
     if (cli.narrate())
         std::printf("delay model: %s\n\n",
                     spec.delay.describe().c_str());
 
     // Measure MR(L) for the candidate lines with the simulator.
     spec.base.sizeBytes =
-        static_cast<std::uint64_t>(options.getInt("cache-kb")) *
+        examples::countOption(options, "cache-kb", 1,
+                              std::uint64_t{1} << 44) *
         1024;
     spec.base.assoc = 2;
     spec.workload = examples::parseWorkloadOptions(options);
     spec.lineSizes = {8, 16, 32, 64, 128};
     spec.baseLine = 8;
-    spec.refs = static_cast<std::uint64_t>(options.getInt("refs"));
+    spec.refs = examples::countOption(options, "refs");
     spec.warmupRefs = spec.refs / 10;
 
     exp::Runner runner = cli.makeRunner();

@@ -42,10 +42,12 @@ run(int argc, char **argv)
     const auto cli = examples::parseRunnerOptions(options);
 
     const auto workload = examples::parseWorkloadOptions(options);
-    const double mu = static_cast<double>(options.getInt("mu"));
+    const double mu =
+        static_cast<double>(examples::countOption(options, "mu"));
     const double line =
-        static_cast<double>(options.getInt("line"));
-    const double q = static_cast<double>(options.getInt("q"));
+        static_cast<double>(examples::countOption(options, "line"));
+    const double q =
+        static_cast<double>(examples::countOption(options, "q"));
 
     TradeoffContext ctx;
     ctx.machine.busWidth = 4;
@@ -92,8 +94,7 @@ run(int argc, char **argv)
     // buffering); the applier decodes it into the point's configs.
     exp::Scenario scenario("memory_system_candidates",
                            "candidate memory systems end to end");
-    scenario.refs =
-        static_cast<std::uint64_t>(options.getInt("refs"));
+    scenario.refs = examples::countOption(options, "refs");
     scenario.workload = workload;
     scenario.cache.sizeBytes = 8 * 1024;
     scenario.cache.assoc = 2;

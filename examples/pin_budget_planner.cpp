@@ -9,8 +9,9 @@
  *
  * Reproduces the paper's observation that doubling a *small*
  * cache beats widening the bus, while for a *large* cache the
- * wider bus trades for a lot of area.  The size sweep shards
- * across --threads workers.
+ * wider bus trades for a lot of area.  The size sweep is one
+ * stack-sim pass over one generated stream, cut by set count into
+ * a shard per --threads worker.
  *
  * Example:
  *   ./build/examples/pin_budget_planner --workload ear --mu 12 \
@@ -44,15 +45,15 @@ run(int argc, char **argv)
         return 0;
     const auto cli = examples::parseRunnerOptions(options);
 
-    // 1. Measure the size -> hit-ratio curve for this workload,
-    //    one simulation per size, sharded by the runner.
+    // 1. Measure the size -> hit-ratio curve for this workload:
+    //    one stack-sim pass, its set counts split over the
+    //    runner's workers.
     CacheConfig base;
     base.assoc = 2;
     base.lineBytes = 32;
     const std::vector<std::uint64_t> sizes = {
         4096, 8192, 16384, 32768, 65536, 131072, 262144};
-    const auto refs =
-        static_cast<std::uint64_t>(options.getInt("refs"));
+    const auto refs = examples::countOption(options, "refs");
     const auto sweep = exp::sweepCacheSizeParallel(
         base, examples::parseWorkloadOptions(options), sizes,
         refs, refs / 10, cli.threads);
@@ -70,7 +71,8 @@ run(int argc, char **argv)
 
     // 2. At each size: the cache size whose hit ratio equals the
     //    performance of doubling the bus instead (Eq. 7).
-    const double mu = static_cast<double>(options.getInt("mu"));
+    const double mu =
+        static_cast<double>(examples::countOption(options, "mu"));
     exp::ResultTable table("pin_budget",
                            {"cache", "hr_pct", "bus_equiv_cache",
                             "area_factor", "verdict"});

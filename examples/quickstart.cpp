@@ -69,7 +69,7 @@ run(int argc, char **argv)
     grid.phiPartial = 6.5; // measured BNL phi (cf. Figure 1)
     grid.q = 2.0;
     grid.cycleTimes = {
-        static_cast<double>(options.getInt("mu"))};
+        static_cast<double>(examples::countOption(options, "mu"))};
 
     if (cli.narrate())
         std::printf("base machine: %s @ HR = %.0f %%\n\n",

@@ -132,8 +132,7 @@ run(int argc, char **argv)
         spec.withIFetch = options.getFlag("ifetch");
         auto source = valueOrFatal(spec.make());
         Trace trace;
-        const auto refs =
-            static_cast<std::uint64_t>(options.getInt("refs"));
+        const auto refs = examples::countOption(options, "refs");
         for (std::uint64_t i = 0; i < refs; ++i) {
             auto ref = source->next();
             if (!ref)
@@ -169,12 +168,13 @@ run(int argc, char **argv)
         Trace trace = loadTrace(options.getString("in"), format);
         CacheConfig config;
         config.sizeBytes =
-            static_cast<std::uint64_t>(options.getInt("cache-kb")) *
+            examples::countOption(options, "cache-kb", 1,
+                                  std::uint64_t{1} << 44) *
             1024;
         config.assoc =
-            static_cast<std::uint32_t>(options.getInt("assoc"));
+            examples::countOption<std::uint32_t>(options, "assoc");
         config.lineBytes =
-            static_cast<std::uint32_t>(options.getInt("line"));
+            examples::countOption<std::uint32_t>(options, "line");
         SetAssocCache cache(config);
         trace.reset();
         while (auto ref = trace.next())
@@ -194,8 +194,8 @@ run(int argc, char **argv)
         Trace trace = loadTrace(options.getString("in"), format);
         const auto profile = valueOrFatal(ReuseProfile::measure(
             trace, trace.size(),
-            static_cast<std::uint32_t>(options.getInt("line")),
-            static_cast<std::size_t>(options.getInt("depth"))));
+            examples::countOption<std::uint32_t>(options, "line"),
+            examples::countOption<std::size_t>(options, "depth")));
         const std::string json = profile.toJsonText();
         const std::string out = options.getString("out");
         // generate's default --out is a .trc path; route the JSON

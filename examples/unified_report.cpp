@@ -54,16 +54,16 @@ run(int argc, char **argv)
 
     TradeoffContext ctx;
     ctx.machine.busWidth =
-        static_cast<double>(options.getInt("bus"));
+        static_cast<double>(examples::countOption(options, "bus"));
     ctx.machine.lineBytes =
-        static_cast<double>(options.getInt("line"));
+        static_cast<double>(examples::countOption(options, "line"));
     ctx.machine.cycleTime =
-        static_cast<double>(options.getInt("mu"));
+        static_cast<double>(examples::countOption(options, "mu"));
     ctx.alpha = options.getDouble("alpha");
     const double hr = options.getDouble("hit-ratio");
-    const double q = static_cast<double>(options.getInt("q"));
-    const auto refs =
-        static_cast<std::uint64_t>(options.getInt("refs"));
+    const double q =
+        static_cast<double>(examples::countOption(options, "q"));
+    const auto refs = examples::countOption(options, "refs");
     const auto workload = examples::parseWorkloadOptions(options);
 
     if (cli.narrate())

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "obs/profile.hh"
 #include "util/logging.hh"
@@ -74,6 +73,19 @@ GeometryGrid::validate() const
             "the stack engine requires write-allocate "
             "(write-around misses bypass LRU state)");
     return Status();
+}
+
+std::vector<GeometryGrid>
+GeometryGrid::shard(std::size_t parts) const
+{
+    const std::size_t count =
+        std::max<std::size_t>(1, std::min(parts, setCounts.size()));
+    std::vector<GeometryGrid> shards(count, *this);
+    for (GeometryGrid &part : shards)
+        part.setCounts.clear();
+    for (std::size_t i = 0; i < setCounts.size(); ++i)
+        shards[i % count].setCounts.push_back(setCounts[i]);
+    return shards;
 }
 
 // --------------------------------------------------------------------
@@ -190,8 +202,10 @@ StackSimulator::StackSimulator(const GeometryGrid &grid,
 void
 StackSimulator::access(const MemoryReference &ref)
 {
-    access(ref,
-           touchedLines_.insert(ref.addr >> lineShift_).second);
+    count(&ref, 1);
+    if (touchedLines_.insert(ref.addr >> lineShift_).second)
+        ++coldMisses_; // first touch misses in every geometry
+    walk(ref);
 }
 
 void
@@ -199,10 +213,15 @@ StackSimulator::feed(const StreamBlock &block)
 {
     if (!warm_ && block.first >= warmupRefs_)
         warm_ = surface();
-    const std::uint8_t *first_touch =
-        block.firstTouch(grid_.lineBytes);
+    count(block.refs, block.count);
     for (std::size_t i = 0; i < block.count; ++i)
-        access(block.refs[i], first_touch && first_touch[i]);
+        walk(block.refs[i]);
+    // Last, so simulators sharing the flags rarely wait on the one
+    // computing them.
+    if (const std::uint8_t *first_touch =
+            block.firstTouch(grid_.lineBytes))
+        coldMisses_ += static_cast<std::uint64_t>(
+            std::count(first_touch, first_touch + block.count, 1));
 }
 
 GeometryHitSurface
@@ -214,28 +233,37 @@ StackSimulator::finish() const
 }
 
 void
-StackSimulator::access(const MemoryReference &ref, bool first_touch)
+StackSimulator::count(const MemoryReference *refs, std::size_t n)
 {
-    // Same input contract as SetAssocCache::access.
-    UATM_ASSERT(isValidAccessSize(ref.size),
-                "invalid access size ", int(ref.size));
-    UATM_ASSERT(ref.size <= grid_.lineBytes,
-                "access size exceeds the line size");
+    // Locals, not members: the stores into the histograms could
+    // alias members and would force a reload per reference.
+    std::uint64_t instructions = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t store_bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const MemoryReference &ref = refs[i];
+        // Same input contract as SetAssocCache::access.
+        UATM_ASSERT(isValidAccessSize(ref.size),
+                    "invalid access size ", int(ref.size));
+        UATM_ASSERT(ref.size <= grid_.lineBytes,
+                    "access size exceeds the line size");
+        const bool is_store = ref.kind == RefKind::Store;
+        instructions += static_cast<std::uint64_t>(ref.gap) + 1;
+        stores += is_store;
+        store_bytes += is_store ? ref.size : 0u;
+    }
+    accesses_ += n;
+    instructions_ += instructions;
+    stores_ += stores;
+    loads_ += n - stores;
+    storeBytes_ += store_bytes;
+}
 
+void
+StackSimulator::walk(const MemoryReference &ref)
+{
     const Addr line = ref.addr >> lineShift_;
     const bool is_store = ref.kind == RefKind::Store;
-
-    ++accesses_;
-    instructions_ += static_cast<std::uint64_t>(ref.gap) + 1;
-    if (is_store) {
-        ++stores_;
-        storeBytes_ += ref.size;
-    } else {
-        ++loads_;
-    }
-    if (first_touch)
-        ++coldMisses_; // first touch misses in every geometry
-
     const bool write_back = grid_.write == WritePolicy::WriteBack;
     const std::uint32_t clean = maxAssoc_ + 1;
 
@@ -289,9 +317,10 @@ StackSimulator::access(const MemoryReference &ref, bool first_touch)
 
         const std::uint32_t shifted =
             found ? pos : std::min(filled, maxAssoc_ - 1);
-        if (shifted > 0)
-            std::memmove(ways + 1, ways,
-                         shifted * sizeof(StackEntry));
+        // Stacks are a few entries deep: a loop beats a memmove
+        // call.
+        for (std::uint32_t d = shifted; d > 0; --d)
+            ways[d] = ways[d - 1];
         ways[0] = StackEntry{line, min_dirty};
         if (!found && filled < maxAssoc_)
             space.filled[set] = filled + 1;

@@ -21,10 +21,18 @@
  * store a smaller A has), so the minimum associativity at which the
  * line is dirty fully describes all grid geometries.
  *
+ * Set counts never interact: each has its own stacks and
+ * histograms, and only the geometry-independent counters (accesses,
+ * stores, cold misses, ...) span them, which every pass over the
+ * same stream counts alike.  So a grid cut by set count
+ * (GeometryGrid::shard) into several simulators fed the same blocks
+ * prices each cell bit-equal to one pass over the whole grid; the
+ * `cache` kernel's stream form runs one such shard per lane.
+ *
  * The engine's results are bit-equal to running SetAssocCache per
  * geometry (see tests/test_random_validation.cc).  Its callers,
- * the cache/sweep functions and the `cache` kernel's whole-sweep
- * hook (exp/kernel.hh), decide through one planStackSim().
+ * the cache/sweep functions and the `cache` kernel (exp/kernel.hh),
+ * decide through one planStackSim().
  */
 
 #ifndef UATM_CACHE_STACK_SIM_HH
@@ -73,6 +81,13 @@ struct GeometryGrid
     /** OK when every field is simulatable (powers of two, at
      *  least one cell, write-allocate). */
     Status validate() const;
+
+    /**
+     * At most @p parts sub-grids (at least one) that split the set
+     * counts between them, dealt round-robin in order; each keeps
+     * this grid's line size, associativities and write policies.
+     */
+    std::vector<GeometryGrid> shard(std::size_t parts) const;
 };
 
 /**
@@ -130,8 +145,10 @@ class StackSimulator
     void access(const MemoryReference &ref);
 
     /** Apply @p block's references in order, taking first touches
-     *  from its flags.  Blocks must not straddle the warm-up end
-     *  (BlockFanout's split). */
+     *  from its flags after the block's stack work, so simulators
+     *  sharing the flags rarely wait on the one computing them.
+     *  Blocks must not straddle the warm-up end (BlockFanout's
+     *  split). */
     void feed(const StreamBlock &block);
 
     /** The post-warm-up window of the blocks fed so far. */
@@ -190,7 +207,12 @@ class StackSimulator
     std::uint64_t warmupRefs_ = 0;
     std::optional<GeometryHitSurface> warm_;
 
-    void access(const MemoryReference &ref, bool first_touch);
+    /** The geometry-independent counters of @p n references. */
+    void count(const MemoryReference *refs, std::size_t n);
+
+    /** Price @p ref in every set count: record its stack distance
+     *  and the write-backs it causes, then move it to the top. */
+    void walk(const MemoryReference &ref);
 };
 
 /**

@@ -5,6 +5,7 @@
 
 #include "exp/kernel.hh"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -111,7 +112,8 @@ class CacheReader final : public StreamReader
     CacheRun run_;
 };
 
-/** One stack-sim pass pricing several points of a group. */
+/** One stack-sim pass, or one shard of it, pricing several points
+ *  of a group. */
 class StackReader final : public StreamReader
 {
   public:
@@ -144,37 +146,49 @@ class StackReader final : public StreamReader
     std::vector<CacheConfig> configs_;
 };
 
-/** One stack-sim reader for the points planStackSim takes, else
- *  one cache per point; an invalid geometry fails as eval does. */
+/** The points planStackSim takes as one pass cut by set count into
+ *  a shard per lane, else one cache per point; an invalid geometry
+ *  fails as eval does. */
 std::vector<StreamReaderSlot>
-openCacheGroup(const std::vector<const Point *> &group)
+openCacheGroup(const std::vector<const Point *> &group, unsigned lanes)
 {
     std::vector<CacheConfig> configs;
     for (const Point *point : group)
         configs.push_back(point->cache);
     std::vector<StreamReaderSlot> slots;
     const std::optional<GeometryGrid> grid = planStackSim(configs);
-    std::vector<CacheConfig> priced;
-    StreamReaderSlot pass;
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        if (grid && configs[i].validate().ok()) {
-            pass.points.push_back(i);
-            priced.push_back(configs[i]);
-        } else {
-            slots.push_back({{i}, configs[i].lineBytes,
-                             [point = group[i]] {
-                                 return std::make_unique<CacheReader>(
-                                     *point);
-                             }});
+    if (grid) {
+        for (GeometryGrid &shard : grid->shard(lanes)) {
+            StreamReaderSlot slot;
+            std::vector<CacheConfig> priced;
+            for (std::size_t i = 0; i < configs.size(); ++i) {
+                if (configs[i].validate().ok() &&
+                    std::find(shard.setCounts.begin(),
+                              shard.setCounts.end(),
+                              configs[i].numSets()) !=
+                        shard.setCounts.end()) {
+                    slot.points.push_back(i);
+                    priced.push_back(configs[i]);
+                }
+            }
+            slot.firstTouchLine = shard.lineBytes;
+            slot.make = [shard = std::move(shard),
+                         warmup = group.front()->warmupRefs,
+                         priced = std::move(priced)] {
+                return std::make_unique<StackReader>(shard, warmup,
+                                                     priced);
+            };
+            slots.push_back(std::move(slot));
         }
     }
-    if (grid) {
-        pass.firstTouchLine = grid->lineBytes;
-        pass.make = [grid = *grid, warmup = group.front()->warmupRefs,
-                     priced = std::move(priced)] {
-            return std::make_unique<StackReader>(grid, warmup, priced);
-        };
-        slots.push_back(std::move(pass));
+    for (std::size_t i = 0; i < group.size(); ++i) {
+        if (grid && configs[i].validate().ok())
+            continue;
+        slots.push_back({{i}, configs[i].lineBytes,
+                         [point = group[i]] {
+                             return std::make_unique<CacheReader>(
+                                 *point);
+                         }});
     }
     return slots;
 }
@@ -228,7 +242,7 @@ class TimingReader final : public StreamReader
 };
 
 std::vector<StreamReaderSlot>
-openTimingGroup(const std::vector<const Point *> &group)
+openTimingGroup(const std::vector<const Point *> &group, unsigned)
 {
     std::vector<StreamReaderSlot> slots;
     for (std::size_t i = 0; i < group.size(); ++i) {

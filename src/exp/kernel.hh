@@ -8,8 +8,10 @@
  * and for a geometry that fails validate(), eval runs per point.
  * The pass runs on the first point priced, so an all-hit request to
  * the daemon never pays for it.  Its stream form does the same per
- * stream group: one stack-sim reader when the planner allows, else
- * one cache per point.
+ * stream group, with the pass cut by set count into one shard per
+ * lane of the group (GeometryGrid::shard), all reading the group's
+ * one stream; a point the planner does not take gets its own
+ * cache.
  *
  * "timing" runs each point through the trace-driven TimingEngine
  * (point.cache, memory, writeBuffer, cpu) and reports hit ratio in

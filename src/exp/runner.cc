@@ -304,7 +304,7 @@ openGroup(StreamGroup &group, const std::vector<Point> &points,
     for (std::size_t index : group.points)
         members.push_back(&points[index]);
     try {
-        group.slots = kernel.open(members);
+        group.slots = kernel.open(members, group.lanes);
     } catch (...) {
         group.thrown = std::current_exception();
         group.status = statusOf(group.thrown);

@@ -24,9 +24,11 @@
  * every point's simulator reads it in lockstep.  A group's
  * simulators are dealt over lanes, at most one per worker, that
  * run at the same time, so generating block k + 1 overlaps
- * simulating block k.  A group of one point is the plain per-point path.  Results
- * still land by point index, so tables stay byte-identical at any
- * thread count.
+ * simulating block k.  The kernel learns the group's lane count
+ * when it opens the group, so it can split one simulator into a
+ * reader per lane.  A group of one point is the plain per-point
+ * path.  Results still land by point index, so tables stay
+ * byte-identical at any thread count.
  *
  * Point kernels must be self-contained: no shared mutable state
  * beyond what the Point carries.  The process-wide event tracer
@@ -166,13 +168,15 @@ struct StreamReaderSlot
 
 /**
  * A kernel over stream groups.  open() gets the points of one group
- * (in expansion order) and returns slots covering each position
- * exactly once.
+ * (in expansion order) and the number of lanes the group runs on,
+ * and returns slots covering each position exactly once.  Slot s
+ * runs on lane s % lanes, so a kernel can cut one simulator's work
+ * into as many readers as there are lanes.
  */
 struct StreamKernel
 {
     std::function<std::vector<StreamReaderSlot>(
-        const std::vector<const Point *> &group)>
+        const std::vector<const Point *> &group, unsigned lanes)>
         open;
 };
 

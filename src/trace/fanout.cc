@@ -42,8 +42,8 @@ BlockFanout::BlockFanout(TraceSource &source, std::uint64_t refs,
             static_cast<std::uint32_t>(std::countr_zero(lines[l]));
     }
     // Sized to the stream: a short run allocates one short block.
-    blockRefs_ = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kBlockRefs, refs_));
+    blockRefs_ = static_cast<std::size_t>(std::min<std::uint64_t>(
+        readers == 1 ? kBlockRefs : kSharedBlockRefs, refs_));
     ended_ = blockRefs_ == 0;
     const std::uint64_t blocks =
         blockRefs_ ? (refs_ + blockRefs_ - 1) / blockRefs_ : 0;
@@ -142,8 +142,14 @@ BlockFanout::next(unsigned reader)
                 " has left the fan-out");
     if (holding_[reader]) {
         holding_[reader] = false;
+        // Only the last reader of the oldest block frees its slot.
+        const bool frees = std::count(low_.begin(), low_.end(),
+                                      low_[reader]) == 1 &&
+                           low_[reader] == *std::min_element(
+                                               low_.begin(), low_.end());
         ++low_[reader];
-        changed_.notify_all();
+        if (frees)
+            changed_.notify_all();
     }
     const std::uint64_t want = low_[reader];
     while (true) {

@@ -23,12 +23,6 @@ refKindName(RefKind kind)
     panic("unknown RefKind value ", static_cast<int>(kind));
 }
 
-bool
-isValidAccessSize(std::uint8_t size)
-{
-    return size == 1 || size == 2 || size == 4 || size == 8;
-}
-
 Addr
 alignDown(Addr addr, std::uint64_t alignment)
 {

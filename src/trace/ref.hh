@@ -55,7 +55,11 @@ struct MemoryReference
 };
 
 /** True when @p size is one of the architected access sizes. */
-bool isValidAccessSize(std::uint8_t size);
+inline bool
+isValidAccessSize(std::uint8_t size)
+{
+    return size == 1 || size == 2 || size == 4 || size == 8;
+}
 
 /** Round @p addr down to a multiple of @p alignment (a power of 2). */
 Addr alignDown(Addr addr, std::uint64_t alignment);

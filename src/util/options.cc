@@ -197,6 +197,28 @@ OptionParser::getInt(const std::string &name) const
     return v;
 }
 
+Expected<std::uint64_t>
+OptionParser::getUnsigned(const std::string &name, std::uint64_t min,
+                          std::uint64_t max) const
+{
+    const std::string &text = require(name, Kind::Int).value;
+    const bool digits =
+        !text.empty() &&
+        std::all_of(text.begin(), text.end(), [](unsigned char c) {
+            return std::isdigit(c) != 0;
+        });
+    errno = 0;
+    const unsigned long long v =
+        digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE || v < min || v > max) {
+        return Status::invalidArgument("option '--", name,
+                                       "' must be an integer in [",
+                                       min, ", ", max, "] (got '",
+                                       text, "')");
+    }
+    return static_cast<std::uint64_t>(v);
+}
+
 double
 OptionParser::getDouble(const std::string &name) const
 {

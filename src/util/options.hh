@@ -11,6 +11,7 @@
 #define UATM_UTIL_OPTIONS_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,6 +89,19 @@ class OptionParser
 
     std::string getString(const std::string &name) const;
     std::int64_t getInt(const std::string &name) const;
+
+    /**
+     * A declared integer option as a count in [@p min, @p max]:
+     * InvalidArgument, before any cast, for a sign, a fraction,
+     * anything but decimal digits, or a value out of range ("-5",
+     * "4.5", "4294967296" under a 32-bit max), mirroring
+     * obs::JsonValue::asUnsigned.
+     */
+    Expected<std::uint64_t>
+    getUnsigned(const std::string &name, std::uint64_t min = 0,
+                std::uint64_t max =
+                    std::numeric_limits<std::uint64_t>::max()) const;
+
     double getDouble(const std::string &name) const;
     bool getFlag(const std::string &name) const;
 

@@ -94,6 +94,67 @@ TEST(GeometryGridTest, AddConfigDeduplicates)
     EXPECT_EQ(grid.assocs.size(), 2u);
 }
 
+TEST(GeometryGridTest, ShardDealsSetCountsRoundRobin)
+{
+    GeometryGrid grid;
+    grid.lineBytes = 64;
+    grid.write = WritePolicy::WriteThrough;
+    grid.setCounts = {64, 128, 256, 512, 1024};
+    grid.assocs = {4, 1};
+    const std::vector<GeometryGrid> shards = grid.shard(3);
+    ASSERT_EQ(shards.size(), 3u);
+    EXPECT_EQ(shards[0].setCounts,
+              (std::vector<std::uint64_t>{64, 512}));
+    EXPECT_EQ(shards[1].setCounts,
+              (std::vector<std::uint64_t>{128, 1024}));
+    EXPECT_EQ(shards[2].setCounts, (std::vector<std::uint64_t>{256}));
+    for (const GeometryGrid &shard : shards) {
+        EXPECT_EQ(shard.lineBytes, 64u);
+        EXPECT_EQ(shard.write, WritePolicy::WriteThrough);
+        EXPECT_EQ(shard.assocs, grid.assocs);
+    }
+    // Never more shards than set counts, never none.
+    EXPECT_EQ(grid.shard(9).size(), 5u);
+    EXPECT_EQ(grid.shard(0).size(), 1u);
+    EXPECT_EQ(grid.shard(1)[0].setCounts, grid.setCounts);
+}
+
+TEST(StackSimulatorTest, ShardsFedOneStreamMatchTheWholeGrid)
+{
+    // Set counts never interact, so every shard's cells equal the
+    // one-pass surface's, geometry-independent counters included.
+    GeometryGrid grid;
+    grid.lineBytes = 32;
+    for (std::uint64_t size : {1024ull, 4096ull, 16384ull, 65536ull}) {
+        for (std::uint32_t assoc : {1u, 2u, 8u}) {
+            CacheConfig config;
+            config.sizeBytes = size;
+            config.assoc = assoc;
+            config.lineBytes = 32;
+            grid.addConfig(config);
+        }
+    }
+    constexpr std::uint64_t kRefs = 7000;
+    auto source = workingSetSource(23);
+    const GeometryHitSurface whole =
+        runStackSim(grid, *source, kRefs, 1000);
+    for (const GeometryGrid &shard : grid.shard(4)) {
+        const GeometryHitSurface part =
+            runStackSim(shard, *source, kRefs, 1000);
+        for (std::uint64_t sets : shard.setCounts) {
+            for (std::uint32_t assoc : shard.assocs) {
+                CacheConfig config;
+                config.lineBytes = 32;
+                config.assoc = assoc;
+                config.sizeBytes = sets * assoc * 32;
+                expectStatsEqual(okOrThrow(part.statsFor(config)),
+                                 okOrThrow(whole.statsFor(config)),
+                                 config.describe());
+            }
+        }
+    }
+}
+
 TEST(StackSimulatorTest, RejectsInvalidGrid)
 {
     GeometryGrid grid; // no cells

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <stdexcept>
@@ -293,8 +294,8 @@ TEST(StreamGroups, MoreWorkersThanSimulators)
         findKernel(name)->run(runner, scenario);
         EXPECT_LE(runner.lastStats().threadsUsed, 2u);
     }
-    // A whole size sweep is one stack-sim reader: the group's
-    // extra lanes have nothing to read and leave.
+    // A whole size sweep is one stack-sim pass, cut into a shard
+    // per lane.
     Scenario sizes("one_reader");
     sizes.workload = WorkloadSpec::spec92("ear", 5);
     sizes.refs = 9000;
@@ -352,9 +353,10 @@ TEST(StreamGroups, ReaderExceptionFailsOnlyItsPoints)
     };
     Scenario scenario("flaky");
     scenario.workload = WorkloadSpec::spec92("ear", 2);
-    scenario.refs = 3 * BlockFanout::kBlockRefs;
+    scenario.refs = 3 * BlockFanout::kSharedBlockRefs;
     scenario.sweep("k", {0, 1, 2, 3}, [](Point &, const AxisValue &) {});
-    const StreamKernel kernel{[](const std::vector<const Point *> &g) {
+    const StreamKernel kernel{[](const std::vector<const Point *> &g,
+                                 unsigned) {
         std::vector<StreamReaderSlot> slots;
         for (std::size_t i = 0; i < g.size(); ++i) {
             slots.push_back(
@@ -375,6 +377,261 @@ TEST(StreamGroups, ReaderExceptionFailsOnlyItsPoints)
                   "flaky reader");
         EXPECT_EQ(runner.lastFailures()[3].status.message(),
                   "no reader");
+    }
+}
+
+/** The sharded stack-sim pass at 1..8 threads must match eval and
+ *  the one-lane pass (one shard). */
+void
+expectShardsMatch(const Scenario &scenario)
+{
+    const Kernel &cache = *findKernel("cache");
+    const std::string reference = perPointCsv(cache, scenario);
+    Runner one_lane(RunnerOptions{1});
+    EXPECT_EQ(one_lane.run(scenario, cache.columns, cache.stream)
+                  .renderCsv(),
+              reference)
+        << scenario.name() << " in one lane";
+    for (unsigned threads = 2; threads <= 8; ++threads) {
+        Runner runner(RunnerOptions{threads});
+        EXPECT_EQ(runner.run(scenario, cache.columns, cache.stream)
+                      .renderCsv(),
+                  reference)
+            << scenario.name() << " at " << threads << " threads";
+    }
+}
+
+std::vector<std::string>
+csvLines(const std::string &csv)
+{
+    std::vector<std::string> lines;
+    std::size_t start = 0;
+    while (start < csv.size()) {
+        const std::size_t end = csv.find('\n', start);
+        lines.push_back(csv.substr(start, end - start));
+        start = end + 1;
+    }
+    return lines;
+}
+
+void
+sweepSizes(Scenario &scenario, std::vector<double> sizes)
+{
+    scenario.sweep("size", std::move(sizes),
+                   [](Point &p, const AxisValue &v) {
+                       p.cache.sizeBytes =
+                           static_cast<std::uint64_t>(v.value);
+                   });
+}
+
+void
+sweepAssocs(Scenario &scenario, std::vector<double> assocs)
+{
+    scenario.sweep("assoc", std::move(assocs),
+                   [](Point &p, const AxisValue &v) {
+                       p.cache.assoc =
+                           static_cast<std::uint32_t>(v.value);
+                   });
+}
+
+/** The stack-sim slots open() deals for @p scenario's one group at
+ *  @p lanes lanes: each covers the points of its set counts. */
+std::vector<StreamReaderSlot>
+openStackSlots(const Scenario &scenario, unsigned lanes,
+               std::vector<const Point *> *members,
+               std::vector<Point> *points)
+{
+    *points = scenario.expand();
+    members->clear();
+    for (const Point &point : *points)
+        members->push_back(&point);
+    std::vector<StreamReaderSlot> stack;
+    for (StreamReaderSlot &slot :
+         findKernel("cache")->stream.open(*members, lanes)) {
+        // A per-point cache slot prices exactly one point.
+        if (slot.points.size() > 1 ||
+            (*points)[slot.points.front()].cache.validate().ok())
+            stack.push_back(std::move(slot));
+    }
+    return stack;
+}
+
+TEST(StackShards, OneShardPerLaneCappedBySetCounts)
+{
+    Scenario scenario("shards");
+    scenario.workload = WorkloadSpec::spec92("nasa7", 4);
+    scenario.refs = 5000;
+    sweepSizes(scenario, {4096, 8192, 16384, 32768, 65536, 3000});
+    sweepAssocs(scenario, {1, 2});
+    std::vector<const Point *> members;
+    std::vector<Point> points;
+    for (unsigned lanes : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(lanes);
+        const auto slots =
+            openStackSlots(scenario, lanes, &members, &points);
+        // Six valid set counts, 32..2048.
+        ASSERT_EQ(slots.size(), std::min(lanes, 6u));
+        std::vector<std::uint64_t> seen;
+        std::size_t priced = 0;
+        for (const StreamReaderSlot &slot : slots) {
+            std::vector<std::uint64_t> sets;
+            for (std::size_t position : slot.points) {
+                const std::uint64_t s =
+                    points[position].cache.numSets();
+                if (std::find(sets.begin(), sets.end(), s) ==
+                    sets.end())
+                    sets.push_back(s);
+            }
+            // No set count is split between shards.
+            for (std::uint64_t s : sets) {
+                EXPECT_EQ(std::find(seen.begin(), seen.end(), s),
+                          seen.end());
+                seen.push_back(s);
+            }
+            priced += slot.points.size();
+        }
+        EXPECT_EQ(priced, 10u); // every valid geometry
+    }
+}
+
+TEST(StackShards, FewerSetCountsThanLanes)
+{
+    // Three set counts over four points: at 4..8 threads some lanes
+    // have no shard and only drain the stream.
+    Scenario scenario("few_sets");
+    scenario.workload = WorkloadSpec::spec92("swm256", 2);
+    scenario.refs = 3 * BlockFanout::kSharedBlockRefs + 11;
+    scenario.warmupRefs = 1000;
+    sweepSizes(scenario, {4096, 8192});
+    sweepAssocs(scenario, {1, 2});
+    expectShardsMatch(scenario);
+}
+
+TEST(StackShards, ExactlyOneSetCount)
+{
+    // 4K 1-way, 8K 2-way and 16K 4-way all have 128 sets: one shard
+    // however many lanes.
+    Scenario scenario("one_set_count");
+    scenario.workload = WorkloadSpec::spec92("ear", 3);
+    scenario.refs = 7000;
+    scenario.warmupRefs = 700;
+    scenario.sweep("ways", {0, 1, 2},
+                   [](Point &p, const AxisValue &v) {
+                       const auto shift = static_cast<int>(v.value);
+                       p.cache.sizeBytes = std::uint64_t{4096} << shift;
+                       p.cache.assoc = 1u << shift;
+                   });
+    std::vector<const Point *> members;
+    std::vector<Point> points;
+    EXPECT_EQ(openStackSlots(scenario, 8, &members, &points).size(), 1u);
+    expectShardsMatch(scenario);
+}
+
+TEST(StackShards, InvalidGeometriesAndBothWritePolicies)
+{
+    for (WritePolicy write :
+         {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+        Scenario scenario(write == WritePolicy::WriteBack ? "wb"
+                                                          : "wt");
+        scenario.workload = WorkloadSpec::spec92("doduc", 6);
+        scenario.refs = 9000;
+        scenario.warmupRefs = 900;
+        scenario.cache.write = write;
+        sweepSizes(scenario,
+                   {1024, 3000, 4096, 16384, 65536, 262144, 6144});
+        sweepAssocs(scenario, {1, 2, 4});
+        expectShardsMatch(scenario);
+        Runner runner(RunnerOptions{4});
+        findKernel("cache")->run(runner, scenario);
+        // 3000 and 6144 are no geometry at any associativity.
+        EXPECT_EQ(runner.lastStats().pointsFailed, 6u);
+    }
+}
+
+TEST(StackShards, TraceRunsDryInsideTheWarmUp)
+{
+    auto source = Spec92Profile::make("hydro2d", 8);
+    const Trace trace(source->drain(2500));
+    const std::string path = testing::TempDir() + "stack_shards.trc";
+    ASSERT_TRUE(TextTraceFormat::writeFile(trace, path).ok());
+    Scenario scenario("dry_warmup");
+    scenario.workload = okOrThrow(
+        WorkloadSpec::parse("trace:format=text,path=" + path));
+    scenario.refs = 10000;
+    scenario.warmupRefs = 4000;
+    sweepSizes(scenario, {1024, 2048, 4096, 8192, 16384});
+    expectShardsMatch(scenario);
+    std::remove(path.c_str());
+}
+
+TEST(StackShards, ThrowingShardFailsOnlyItsPoints)
+{
+    /** The wrapped shard, throwing on its second block. */
+    class Throwing final : public StreamReader
+    {
+      public:
+        explicit Throwing(std::unique_ptr<StreamReader> inner)
+            : inner_(std::move(inner))
+        {
+        }
+        void
+        feed(const StreamBlock &block) override
+        {
+            if (++blocks_ == 2)
+                throw std::runtime_error("shard lost");
+            inner_->feed(block);
+        }
+        std::vector<Expected<std::vector<Cell>>>
+        finish() override
+        {
+            return inner_->finish();
+        }
+
+      private:
+        std::unique_ptr<StreamReader> inner_;
+        int blocks_ = 0;
+    };
+    Scenario scenario("throwing_shard");
+    scenario.workload = WorkloadSpec::spec92("wave5", 3);
+    scenario.refs = 3 * BlockFanout::kSharedBlockRefs;
+    sweepSizes(scenario, {2048, 4096, 8192, 16384, 32768});
+    const Kernel &cache = *findKernel("cache");
+    // The first slot of every group throws; the rest is the cache
+    // kernel's own.
+    const StreamKernel kernel{[&cache](
+                                  const std::vector<const Point *> &g,
+                                  unsigned lanes) {
+        auto slots = cache.stream.open(g, lanes);
+        auto make = std::move(slots.front().make);
+        slots.front().make = [make] {
+            return std::make_unique<Throwing>(make());
+        };
+        return slots;
+    }};
+    const std::vector<std::string> good =
+        csvLines(perPointCsv(cache, scenario));
+    for (unsigned threads = 1; threads <= 8; ++threads) {
+        SCOPED_TRACE(threads);
+        Runner runner(RunnerOptions{threads});
+        const std::vector<std::string> rows = csvLines(
+            runner.run(scenario, cache.columns, kernel).renderCsv());
+        // The first shard deals set counts 0, k, 2k, ... of five,
+        // k the shard count: ceil(5 / k) points fail, the rest
+        // match eval line for line.
+        const std::size_t shards = std::min(threads, 5u);
+        const std::size_t failed = (5 + shards - 1) / shards;
+        ASSERT_EQ(runner.lastFailures().size(), failed);
+        for (const PointFailure &failure : runner.lastFailures()) {
+            EXPECT_EQ(failure.index % shards, 0u);
+            EXPECT_EQ(failure.status.message(), "shard lost");
+        }
+        ASSERT_EQ(rows.size(), good.size());
+        // Line 0 is the header; point i is line i + 1.
+        for (std::size_t line = 0; line < rows.size(); ++line) {
+            if (line == 0 || (line - 1) % shards != 0) {
+                EXPECT_EQ(rows[line], good[line]);
+            }
+        }
     }
 }
 
@@ -413,7 +670,8 @@ TEST(StreamGroups, SharedFirstTouchSetsMatchOwnTracking)
     // Readers of mixed line sizes on their own threads, sharing one
     // first-touch set per line size, count every CacheStats field
     // (coldMisses included) exactly as caches tracking their own.
-    constexpr std::uint64_t kRefs = 5 * BlockFanout::kBlockRefs + 77;
+    constexpr std::uint64_t kRefs =
+        5 * BlockFanout::kSharedBlockRefs + 77;
     auto generator = Spec92Profile::make("nasa7", 11);
     const std::vector<MemoryReference> refs =
         generator->drain(kRefs);

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -624,6 +626,42 @@ TEST(OptionParser, UnknownOptionIsFatal)
     EXPECT_EXIT({ p.parse(2, argv); },
                 ::testing::ExitedWithCode(EXIT_FAILURE),
                 "unknown option");
+}
+
+TEST(OptionParser, GetUnsignedChecksBeforeAnyCast)
+{
+    // A count option: a sign, a fraction or an out-of-range value
+    // is a typed error, never a wrapped cast.
+    constexpr std::uint64_t kMax32 = 0xffffffffu;
+    const auto get = [](const char *text, std::uint64_t min,
+                        std::uint64_t max) {
+        OptionParser p("prog");
+        p.addInt("n", 1, "n");
+        const std::string arg = std::string("--n=") + text;
+        const char *argv[] = {"prog", arg.c_str()};
+        EXPECT_TRUE(p.tryParse(2, argv).ok());
+        return p.getUnsigned("n", min, max);
+    };
+    for (const char *bad : {"-5", "4.5", "4294967296", "+3", " 7",
+                            "0x10", "99999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        const auto value = get(bad, 0, kMax32);
+        ASSERT_FALSE(value.ok());
+        EXPECT_EQ(value.status().code(), ErrorCode::InvalidArgument);
+        EXPECT_NE(value.status().message().find("--n"),
+                  std::string::npos);
+    }
+    EXPECT_FALSE(get("0", 1, kMax32).ok());
+    EXPECT_EQ(get("0", 0, kMax32).value(), 0u);
+    EXPECT_EQ(get("4294967295", 1, kMax32).value(), kMax32);
+    EXPECT_EQ(get("18446744073709551615", 0,
+                  std::numeric_limits<std::uint64_t>::max())
+                  .value(),
+              std::numeric_limits<std::uint64_t>::max());
+
+    OptionParser defaults("prog");
+    defaults.addInt("refs", 150000, "refs");
+    EXPECT_EQ(defaults.getUnsigned("refs", 1).value(), 150000u);
 }
 
 // ------------------------------------ OptionParser::tryParse, typed
