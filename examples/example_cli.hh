@@ -44,10 +44,6 @@ addWorkloadOptions(OptionParser &options,
     options.addInt("seed", default_seed, "workload seed");
 }
 
-/** Most worker threads --threads accepts: more is a typo, not a
- *  machine. */
-inline constexpr std::uint64_t kMaxThreads = 1024;
-
 /**
  * Integer option @p name as a count in [@p min, @p max] of type T;
  * a sign, a fraction or a value out of range is a usage error

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "cache/sweep.hh"
@@ -33,62 +32,6 @@ evalCachePoint(const Point &point)
         return source.status();
     return ratioCells(runCacheSim(point.cache, *source.value(),
                                   point.refs, point.warmupRefs));
-}
-
-/** The surface pricing all of @p points in one stack-sim pass, or
- *  nullopt; each decision is tallied in sweepDispatchCounters(). */
-std::optional<GeometryHitSurface>
-priceInOnePass(const std::vector<Point> &points)
-{
-    const Point &first = points.front();
-    std::vector<CacheConfig> configs;
-    for (const Point &point : points) {
-        if (!sameStream(point, first)) {
-            noteSweepDispatch(false, true, {});
-            return std::nullopt;
-        }
-        configs.push_back(point.cache);
-    }
-    auto source = first.workload.make();
-    if (!source.ok()) {
-        // eval reproduces the identical error row for every point.
-        noteSweepDispatch(false, false,
-                          "workload construction failed: " +
-                              source.status().message());
-        return std::nullopt;
-    }
-    const std::optional<GeometryGrid> grid = planStackSim(configs);
-    if (!grid)
-        return std::nullopt;
-    return runStackSim(*grid, *source.value(), first.refs,
-                       first.warmupRefs);
-}
-
-Runner::Kernel
-bindCacheSweep(const Scenario &scenario)
-{
-    struct Sweep
-    {
-        explicit Sweep(const Scenario &s) : scenario(s) {}
-
-        Scenario scenario;
-        std::once_flag once;
-        std::optional<GeometryHitSurface> surface;
-    };
-    auto sweep = std::make_shared<Sweep>(scenario);
-    return [sweep](const Point &point) -> Expected<std::vector<Cell>> {
-        if (point.cache.validate().ok()) {
-            std::call_once(sweep->once, [&sweep] {
-                sweep->surface =
-                    priceInOnePass(sweep->scenario.expand());
-            });
-            if (sweep->surface)
-                return ratioCells(
-                    {point.cache,
-                     okOrThrow(sweep->surface->statsFor(point.cache))});
-        }
-        return evalCachePoint(point);
-    };
 }
 
 /** One point's runCacheSim, fed by its group's stream. */
@@ -148,15 +91,23 @@ class StackReader final : public StreamReader
 
 /** The points planStackSim takes as one pass cut by set count into
  *  a shard per lane, else one cache per point; an invalid geometry
- *  fails as eval does. */
+ *  fails as eval does.  A group with one valid geometry has nothing
+ *  to share and is per-point by design; one with none tallies
+ *  nothing. */
 std::vector<StreamReaderSlot>
 openCacheGroup(const std::vector<const Point *> &group, unsigned lanes)
 {
     std::vector<CacheConfig> configs;
     for (const Point *point : group)
         configs.push_back(point->cache);
+    const auto valid = std::count_if(
+        configs.begin(), configs.end(),
+        [](const CacheConfig &config) { return config.validate().ok(); });
+    if (valid == 1)
+        noteSweepDispatch(false, true, {});
     std::vector<StreamReaderSlot> slots;
-    const std::optional<GeometryGrid> grid = planStackSim(configs);
+    const std::optional<GeometryGrid> grid =
+        valid > 1 ? planStackSim(configs) : std::nullopt;
     if (grid) {
         for (GeometryGrid &shard : grid->shard(lanes)) {
             StreamReaderSlot slot;
@@ -261,10 +212,10 @@ registry()
     static const std::vector<Kernel> kKernels = {
         {"cache", "cache/v1",
          {"hit_ratio", "miss_ratio", "flush_ratio"},
-         evalCachePoint, bindCacheSweep, {openCacheGroup}, true},
+         evalCachePoint, {openCacheGroup}, true},
         {"timing", "timing/v1",
          {"hr_pct", "cycles", "cpi", "mem_delay"},
-         evalTimingPoint, nullptr, {openTimingGroup}, false},
+         evalTimingPoint, {openTimingGroup}, false},
     };
     return kKernels;
 }
@@ -279,15 +230,6 @@ findKernel(const std::string &name)
             return &kernel;
     }
     return nullptr;
-}
-
-std::vector<std::string>
-kernelNames()
-{
-    std::vector<std::string> names;
-    for (const Kernel &kernel : registry())
-        names.push_back(kernel.name);
-    return names;
 }
 
 std::vector<std::string>

@@ -1,17 +1,20 @@
 /**
  * The kernel registry, shared by offline scenarios and the daemon.
  *
+ * Every kernel has two forms that render the same bytes: eval
+ * prices one point on its own and is the reference the tests
+ * compare against; stream prices the points of a stream group
+ * (exp::Runner, DESIGN.md §13), generating each stream once.
+ * Kernel::run, offline runs, `uatm_client --offline` and the
+ * daemon's cache misses all take the stream form.
+ *
  * "cache" prices hit, miss and flush ratio of point.cache over
- * point.workload.  The whole-sweep hook prices all of a scenario's
- * points in one stack-sim pass when they read one stream
- * (sameStream) and planStackSim (cache/sweep.hh) allows; otherwise,
- * and for a geometry that fails validate(), eval runs per point.
- * The pass runs on the first point priced, so an all-hit request to
- * the daemon never pays for it.  Its stream form does the same per
- * stream group, with the pass cut by set count into one shard per
- * lane of the group (GeometryGrid::shard), all reading the group's
- * one stream; a point the planner does not take gets its own
- * cache.
+ * point.workload.  A group with two or more valid geometries that
+ * planStackSim (cache/sweep.hh) allows is priced by one stack-sim
+ * pass, cut by set count into one shard per lane
+ * (GeometryGrid::shard), all reading the group's one stream; every
+ * other point gets its own cache, and a geometry that fails
+ * validate() fails as eval does.
  *
  * "timing" runs each point through the trace-driven TimingEngine
  * (point.cache, memory, writeBuffer, cpu) and reports hit ratio in
@@ -23,7 +26,6 @@
 #ifndef UATM_EXP_KERNEL_HH
 #define UATM_EXP_KERNEL_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,12 +50,6 @@ struct Kernel
     /** Prices one point on its own: the reference. */
     Runner::Kernel eval;
 
-    /** Optional whole-sweep hook: the per-point kernel for one
-     *  scenario, pricing every point in one pass on its first
-     *  call.  Byte-identical to eval and safe to call from several
-     *  runner workers at once. */
-    std::function<Runner::Kernel(const Scenario &)> sweep;
-
     /** The stream-group form (Runner::run with a StreamKernel):
      *  byte-identical to eval, each stream generated once. */
     StreamKernel stream;
@@ -61,29 +57,16 @@ struct Kernel
     /** The daemon prices this kernel. */
     bool served = false;
 
-    /** The per-point kernel to run @p scenario with. */
-    Runner::Kernel
-    bind(const Scenario &scenario) const
-    {
-        return sweep ? sweep(scenario) : eval;
-    }
-
-    /** Run @p scenario on @p runner: by stream groups when the
-     *  kernel has them, else per point through bind(). */
+    /** Run @p scenario on @p runner by stream groups. */
     ResultTable
     run(Runner &runner, const Scenario &scenario) const
     {
-        return stream.open ? runner.run(scenario, columns, stream)
-                           : runner.run(scenario, columns,
-                                        bind(scenario));
+        return runner.run(scenario, columns, stream);
     }
 };
 
 /** Kernel by name; nullptr when unknown. */
 const Kernel *findKernel(const std::string &name);
-
-/** Registered kernel names, for diagnostics. */
-std::vector<std::string> kernelNames();
 
 /** Names of the kernels the daemon serves. */
 std::vector<std::string> servedKernelNames();

@@ -66,22 +66,6 @@ Cell::fromParts(std::string text, double value, bool numeric,
     return cell;
 }
 
-const char *
-tableFormatName(TableFormat format)
-{
-    switch (format) {
-      case TableFormat::Text:
-        return "text";
-      case TableFormat::Csv:
-        return "csv";
-      case TableFormat::Json:
-        return "json";
-      case TableFormat::Ndjson:
-        return "ndjson";
-    }
-    return "?";
-}
-
 Expected<TableFormat>
 parseTableFormat(const std::string &name)
 {

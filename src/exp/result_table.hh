@@ -80,8 +80,6 @@ enum class TableFormat : std::uint8_t
     Ndjson, ///< one JSON object per row, newline-delimited
 };
 
-const char *tableFormatName(TableFormat format);
-
 /** Parse "text" | "csv" | "json" | "ndjson"; error Status on
  *  anything else. */
 Expected<TableFormat> parseTableFormat(const std::string &name);
@@ -103,6 +101,7 @@ class ResultTable
 
     std::size_t rows() const { return rows_.size(); }
     const Cell &at(std::size_t row, std::size_t col) const;
+    const std::vector<Cell> &row(std::size_t r) const { return rows_.at(r); }
 
     /** Index of column @p column; NotFound when absent. */
     Expected<std::size_t> columnIndex(const std::string &column) const;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string_view>
@@ -139,6 +140,27 @@ emitWorkerSpans(obs::EventTracer &tracer,
 }
 
 } // namespace
+
+std::vector<Cell>
+pointRow(const Point &point, Expected<std::vector<Cell>> cells,
+         std::size_t value_columns)
+{
+    std::vector<Cell> row;
+    for (const auto &coord : point.coords)
+        row.push_back(Cell::text(coord.label));
+    if (!cells.ok()) {
+        row.insert(row.end(), value_columns,
+                   Cell::error(cells.status()));
+        return row;
+    }
+    UATM_ASSERT(cells.value().size() == value_columns,
+                "kernel returned ", cells.value().size(),
+                " cells for point ", point.label(), ", expected ",
+                value_columns);
+    row.insert(row.end(), std::make_move_iterator(cells.value().begin()),
+               std::make_move_iterator(cells.value().end()));
+    return row;
+}
 
 Runner::Runner(RunnerOptions options) : options_(options) {}
 
@@ -458,6 +480,15 @@ runStreamLane(StreamGroup &group, unsigned lane,
 
 } // namespace
 
+std::vector<Point>
+Runner::expand(const Scenario &scenario)
+{
+    const auto start = Clock::now();
+    std::vector<Point> points = scenario.expand();
+    expandNs_ = nsBetween(start, Clock::now());
+    return points;
+}
+
 ResultTable
 Runner::run(const Scenario &scenario,
             const std::vector<std::string> &value_columns,
@@ -465,14 +496,11 @@ Runner::run(const Scenario &scenario,
 {
     UATM_ASSERT(kernel != nullptr, "runner needs a kernel");
 
-    const auto expandStart = Clock::now();
-    const std::vector<Point> points = scenario.expand();
-    const std::uint64_t expandNs =
-        nsBetween(expandStart, Clock::now());
+    const std::vector<Point> points = expand(scenario);
 
     // One lane per point.
     return runLanes(
-        scenario, points, expandNs, value_columns, points.size(),
+        scenario, points, value_columns, points.size(),
         [&](std::size_t i, LaneSink &sink) {
             if (sink.aborted())
                 return;
@@ -498,12 +526,15 @@ Runner::run(const Scenario &scenario,
             const std::vector<std::string> &value_columns,
             const StreamKernel &kernel)
 {
-    UATM_ASSERT(kernel.open != nullptr, "runner needs a kernel");
+    return run(scenario, expand(scenario), value_columns, kernel);
+}
 
-    const auto expandStart = Clock::now();
-    const std::vector<Point> points = scenario.expand();
-    const std::uint64_t expandNs =
-        nsBetween(expandStart, Clock::now());
+ResultTable
+Runner::run(const Scenario &scenario, const std::vector<Point> &points,
+            const std::vector<std::string> &value_columns,
+            const StreamKernel &kernel)
+{
+    UATM_ASSERT(kernel.open != nullptr, "runner needs a kernel");
 
     std::vector<std::unique_ptr<StreamGroup>> groups;
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -542,8 +573,7 @@ Runner::run(const Scenario &scenario,
             lanes.push_back(LaneRef{group.get(), l});
     }
 
-    return runLanes(scenario, points, expandNs, value_columns,
-                    lanes.size(),
+    return runLanes(scenario, points, value_columns, lanes.size(),
                     [&](std::size_t i, LaneSink &sink) {
                         runStreamLane(*lanes[i].group, lanes[i].lane,
                                       points, kernel, sink);
@@ -553,10 +583,10 @@ Runner::run(const Scenario &scenario,
 ResultTable
 Runner::runLanes(const Scenario &scenario,
                  const std::vector<Point> &points,
-                 std::uint64_t expandNs,
                  const std::vector<std::string> &value_columns,
                  std::size_t lanes, const LaneBody &body)
 {
+    const std::uint64_t expandNs = std::exchange(expandNs_, 0);
     std::vector<std::string> columns = scenario.axisNames();
     columns.insert(columns.end(), value_columns.begin(),
                    value_columns.end());
@@ -791,7 +821,7 @@ Runner::runLanes(const Scenario &scenario,
     // Log after the join, from one thread, so warn() lines do not
     // interleave.
     for (const auto &failure : failures_) {
-        warn("point ", failure.index, " (", failure.label,
+        warn("point ", points[failure.index].index, " (", failure.label,
              ") failed: ", failure.status.toString());
     }
 
@@ -800,22 +830,11 @@ Runner::runLanes(const Scenario &scenario,
 
     const auto mergeStart = Clock::now();
     for (std::size_t i = 0; i < points.size(); ++i) {
-        std::vector<Cell> row;
-        row.reserve(columns.size());
-        for (const auto &coord : points[i].coords)
-            row.push_back(Cell::text(coord.label));
-        if (errors[i]) {
-            for (std::size_t c = 0; c < value_columns.size(); ++c)
-                row.push_back(Cell::error(*errors[i]));
-        } else {
-            UATM_ASSERT(slots[i].size() == value_columns.size(),
-                        "kernel returned ", slots[i].size(),
-                        " cells for point ", i, ", expected ",
-                        value_columns.size());
-            for (auto &cell : slots[i])
-                row.push_back(std::move(cell));
-        }
-        table.addRow(std::move(row));
+        table.addRow(pointRow(
+            points[i],
+            errors[i] ? Expected<std::vector<Cell>>(*errors[i])
+                      : std::move(slots[i]),
+            value_columns.size()));
     }
     if (telemetryArmed)
         telemetry_.mergeNs = nsBetween(mergeStart, Clock::now());

@@ -112,7 +112,7 @@ struct RunnerOptions
 /** One failed point of the most recent run. */
 struct PointFailure
 {
-    std::size_t index = 0; ///< position in expansion order
+    std::size_t index = 0; ///< position among the points run
     std::string label;     ///< Point::label() of the failed point
     Status status;         ///< why it failed (never OK)
 };
@@ -180,6 +180,12 @@ struct StreamKernel
         open;
 };
 
+/** @p point's table row: its coordinate labels, then @p cells, or
+ *  one error cell per value column when @p cells failed. */
+std::vector<Cell> pointRow(const Point &point,
+                           Expected<std::vector<Cell>> cells,
+                           std::size_t value_columns);
+
 class Runner
 {
   public:
@@ -215,6 +221,13 @@ class Runner
                     const std::vector<std::string> &value_columns,
                     const StreamKernel &kernel);
 
+    /** The same, over @p points only: a subset of
+     *  scenario.expand() in expansion order (the daemon's misses). */
+    ResultTable run(const Scenario &scenario,
+                    const std::vector<Point> &points,
+                    const std::vector<std::string> &value_columns,
+                    const StreamKernel &kernel);
+
     /** Stats from the most recent run(). */
     const RunnerStats &lastStats() const { return stats_; }
 
@@ -244,15 +257,19 @@ class Runner
      *  sink. */
     using LaneBody = std::function<void(std::size_t lane, LaneSink &)>;
 
+    /** @p scenario's points, timing the expansion into expandNs_. */
+    std::vector<Point> expand(const Scenario &scenario);
+
     /** The one scheduler: runs @p lanes lanes of @p points on the
      *  pool and merges the table. */
     ResultTable runLanes(const Scenario &scenario,
                          const std::vector<Point> &points,
-                         std::uint64_t expandNs,
                          const std::vector<std::string> &value_columns,
                          std::size_t lanes, const LaneBody &body);
 
     RunnerOptions options_;
+    /** expand()'s time, taken by the next runLanes (0 if none). */
+    std::uint64_t expandNs_ = 0;
     RunnerStats stats_;
     std::vector<PointFailure> failures_;
     RunnerTelemetry telemetry_;

@@ -69,20 +69,20 @@ SweepService::registerStats()
         [this] { return double(pointsFailed_.load()); },
         "points degraded to typed error cells", "count");
     cache_.registerStats(serve.group("cache"));
-    // Which engine priced each sweep (process-wide tallies).
+    // Which engine priced each stream group (process-wide tallies).
     obs::StatGroup dispatch = serve.group("dispatch");
     dispatch.addFormula(
         "fast_path",
         [] { return double(sweepDispatchCounters().fastPath); },
-        "sweeps priced by one stack-sim pass", "count");
+        "stream groups priced by one stack-sim pass", "count");
     dispatch.addFormula(
         "declined",
         [] { return double(sweepDispatchCounters().declined); },
-        "sweeps that fell back to per-point simulation", "count");
+        "stream groups that fell back to per-point simulation", "count");
     dispatch.addFormula(
         "per_point",
         [] { return double(sweepDispatchCounters().perPoint); },
-        "sweeps per-point by design", "count");
+        "stream groups per-point by design", "count");
 
     // Histograms go last: the returned references live inside the
     // registry's entry table, which may reallocate on the next
@@ -91,7 +91,8 @@ SweepService::registerStats()
     // so the registered names stay unit-free.
     serve.addLatencyHistogram(
         "point", obs::LatencyHistogram(),
-        "per-point service time, cache hits included", "ns");
+        "per-point time: a hit's lookup, a miss's share of its run",
+        "ns");
     serve.addLatencyHistogram(
         "request", obs::LatencyHistogram(),
         "end-to-end sweep request latency", "ns");
@@ -138,66 +139,88 @@ SweepService::runSweep(const SweepRequest &request)
                                 "'");
     }
 
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> computed{0};
-    // Behind the cache: an all-hit request never runs the pass.
-    const exp::Runner::Kernel priced =
-        kernel->bind(request.scenario);
-    const exp::Runner::Kernel cached =
-        [this, kernel, &priced, &hits,
-         &computed](const exp::Point &point)
-        -> Expected<std::vector<exp::Cell>> {
+    // Look up every point on this thread; only the misses are
+    // priced, so a request where every point hits never takes the
+    // pool, the mutex or a workload.
+    const exp::Scenario &scenario = request.scenario;
+    const std::vector<exp::Point> expanded = scenario.expand();
+    const std::size_t width = kernel->columns.size();
+    std::vector<std::vector<exp::Cell>> rows(points);
+    std::vector<exp::Point> misses;
+    std::vector<std::pair<std::size_t, std::string>> missed; // row, key
+    std::size_t hits = 0;
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < points; ++i) {
         const auto point_start = std::chrono::steady_clock::now();
-        auto key = exp::canonicalPointKey(point, kernel->id);
+        auto key = exp::canonicalPointKey(expanded[i], kernel->id);
         if (!key.ok()) {
             // A point the cache cannot address (custom workload
-            // spec) is refused, never silently cached or priced:
-            // the Runner turns this into a typed error cell.
-            return key.status();
-        }
-        if (auto cells = cache_.lookup(key.value())) {
+            // spec) is refused, never silently cached or priced.
+            rows[i] = exp::pointRow(expanded[i], key.status(), width);
+            ++failed;
+        } else if (auto cells = cache_.lookup(key.value())) {
+            rows[i] = exp::pointRow(expanded[i], std::move(*cells),
+                                    width);
             ++hits;
-            pointNanos_->add(nanosSince(point_start));
-            return *cells;
+        } else {
+            misses.push_back(expanded[i]);
+            missed.emplace_back(i, std::move(key).value());
+            continue;
         }
-        auto cells = priced(point);
-        if (!cells.ok())
-            return cells.status(); // failures are not cached
-        cache_.insert(key.value(), cells.value());
-        ++computed;
         pointNanos_->add(nanosSince(point_start));
-        return std::move(cells).value();
-    };
+    }
 
-    exp::RunnerOptions runner_options;
-    runner_options.threads =
-        request.threads
-            ? std::min(request.threads, options_.threads)
-            : options_.threads;
+    std::size_t computed = 0;
+    if (!misses.empty()) {
+        exp::RunnerOptions runner_options;
+        runner_options.threads =
+            request.threads
+                ? std::min(request.threads, options_.threads)
+                : options_.threads;
+        // One sweep at a time on the pool; the rest of the admitted
+        // queue (inflight_) waits here.
+        std::unique_lock<std::mutex> run_lock(runMutex_);
+        const auto run_start = std::chrono::steady_clock::now();
+        exp::Runner runner(runner_options);
+        const exp::ResultTable priced =
+            runner.run(scenario, misses, kernel->columns,
+                       kernel->stream);
+        const double share =
+            nanosSince(run_start) / double(misses.size());
+        run_lock.unlock();
+        const std::vector<exp::PointFailure> &failures =
+            runner.lastFailures();
 
-    std::size_t failed = 0;
-    // One sweep at a time on the pool; the rest of the admitted
-    // queue (inflight_) waits here.
-    std::unique_lock<std::mutex> run_lock(runMutex_);
-    exp::Runner runner(runner_options);
-    exp::ResultTable table =
-        runner.run(request.scenario, kernel->columns, cached);
-    failed = runner.lastStats().pointsFailed;
-    run_lock.unlock();
+        failed += failures.size();
+        computed = misses.size() - failures.size();
+        auto failure = failures.begin();
+        for (std::size_t j = 0; j < misses.size(); ++j) {
+            const std::vector<exp::Cell> &row = priced.row(j);
+            if (failure != failures.end() && failure->index == j)
+                ++failure; // failures are not cached
+            else
+                cache_.insert(missed[j].second,
+                              {row.end() - width, row.end()});
+            rows[missed[j].first] = row;
+            pointNanos_->add(share);
+        }
+    }
+
+    std::vector<std::string> columns = scenario.axisNames();
+    columns.insert(columns.end(), kernel->columns.begin(),
+                   kernel->columns.end());
+    exp::ResultTable table(scenario.name(), std::move(columns));
+    for (std::vector<exp::Cell> &row : rows)
+        table.addRow(std::move(row));
 
     ++requests_;
     pointsTotal_ += points;
-    pointsComputed_ += computed.load();
+    pointsComputed_ += computed;
     pointsFailed_ += failed;
-    const double nanos = nanosSince(start);
-    requestNanos_->add(nanos);
+    requestNanos_->add(nanosSince(start));
 
-    return SweepOutcome{std::move(table),
-                        points,
-                        std::size_t(computed.load()),
-                        std::size_t(hits.load()),
-                        failed,
-                        nanos / 1e9};
+    return SweepOutcome{std::move(table), points, computed, hits,
+                        failed};
 }
 
 std::string

@@ -15,14 +15,15 @@
  *  - more than maxQueueDepth requests already admitted
  *    (running + waiting)                   -> Unavailable (429).
  *
- * Each point is priced through the cache: canonical key (point_key)
- * -> lookup -> on miss, the kernel bound to the request prices it
- * (exp::Kernel::bind) and the cells are inserted.
- * Key refusal (custom workload specs) and kernel failures become
- * per-point error Statuses — the Runner degrades them to typed
- * error cells, and failures are never cached.  Because keys are
- * complete content addresses and cells round-trip with their exact
- * rendered text, a warm request is byte-identical to a cold one.
+ * Look up, price, merge: on the request thread each point's
+ * canonical key (point_key) is looked up, and a key refusal (custom
+ * workload spec) becomes its typed error row; under the mutex the
+ * misses go through the kernel's stream form as one Runner call;
+ * cached and priced rows merge in expansion order, and priced rows
+ * that are not errors are inserted.  An all-hit request never takes
+ * the mutex or builds a workload.  Because keys are complete
+ * content addresses and cells round-trip with their exact rendered
+ * text, a warm request is byte-identical to a cold one.
  */
 
 #ifndef UATM_SERVE_SERVICE_HH
@@ -67,7 +68,6 @@ struct SweepOutcome
     std::size_t computed = 0;  ///< points priced by the kernel
     std::size_t cacheHits = 0; ///< points served from the cache
     std::size_t failed = 0;    ///< points degraded to error cells
-    double seconds = 0.0;      ///< wall time inside runSweep
 };
 
 class SweepService

@@ -40,6 +40,10 @@ struct KeyValue
 Expected<std::vector<KeyValue>>
 parseKeyValueList(std::string_view text);
 
+/** Most worker threads a --threads option accepts: more is a typo,
+ *  not a machine. */
+inline constexpr std::uint64_t kMaxThreads = 1024;
+
 /**
  * Declarative option table with typed accessors.
  */

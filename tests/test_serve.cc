@@ -619,8 +619,9 @@ TEST(SweepService, ColdGeometryRequestTakesTheFastPath)
 TEST(SweepService, WorkloadAxisIsPerPointByDesign)
 {
     // Points over different workloads see different reference
-    // streams: no stack pass can share them, so the request is
-    // counted per-point by design and logs no decline.
+    // streams: no stack pass can share them, so each point is a
+    // stream group of its own, counted per-point by design (once
+    // per group, not per request) and logs no decline.
     const auto request = serve::parseSweepRequest(R"({
       "refs": 1000,
       "cache": {"size": 8192, "assoc": 2, "line": 32},
@@ -643,11 +644,93 @@ TEST(SweepService, WorkloadAxisIsPerPointByDesign)
     ASSERT_TRUE(outcome.ok()) << outcome.status().toString();
     EXPECT_EQ(outcome.value().computed, 2u);
     const SweepDispatchCounters counters = sweepDispatchCounters();
-    EXPECT_EQ(counters.perPoint, 1u);
+    EXPECT_EQ(counters.perPoint, 2u);
     EXPECT_EQ(counters.declined, 0u);
     EXPECT_EQ(counters.fastPath, 0u);
     EXPECT_EQ(log.find("fell back"), std::string::npos) << log;
     resetSweepDispatchStats();
+}
+
+TEST(SweepService, MixedRequestPricesOnlyItsMissesInOnePass)
+{
+    // Hits and misses on one stream: the lookups all happen before
+    // pricing, so the misses (two valid sizes, one invalid) form one
+    // stream group and one stack-sim pass, and the merged table is
+    // still exactly what per-point eval renders.
+    const auto warmup = serve::parseSweepRequest(kRequest);
+    ASSERT_TRUE(warmup.ok());
+    const auto mixed = serve::parseSweepRequest(R"({
+      "name": "geom",
+      "kernel": "cache",
+      "refs": 2000,
+      "warmup": 200,
+      "workload": {"method": "spec92",
+                   "params": {"profile": "nasa7"}, "seed": 3},
+      "cache": {"assoc": 2, "line": 32},
+      "axes": [{"axis": "cache.size",
+                "values": [16384, 4096, 5000, 8192, 32768]}]
+    })");
+    ASSERT_TRUE(mixed.ok()) << mixed.status().toString();
+    const exp::Kernel *kernel = exp::findKernel("cache");
+    ASSERT_NE(kernel, nullptr);
+    exp::Runner reference(exp::RunnerOptions{1});
+    const std::string per_point =
+        reference
+            .run(mixed.value().scenario, kernel->columns,
+                 kernel->eval)
+            .renderNdjson();
+
+    for (unsigned threads : {1u, 4u}) {
+        serve::ServiceOptions options;
+        options.threads = threads;
+        serve::SweepService service(options);
+        ASSERT_TRUE(service.runSweep(warmup.value()).ok());
+
+        resetSweepDispatchStats();
+        auto outcome = service.runSweep(mixed.value());
+        ASSERT_TRUE(outcome.ok()) << outcome.status().toString();
+        const SweepDispatchCounters counters = sweepDispatchCounters();
+        EXPECT_EQ(counters.fastPath, 1u) << threads << " threads";
+        EXPECT_EQ(counters.perPoint, 0u) << threads << " threads";
+        EXPECT_EQ(counters.declined, 0u) << threads << " threads";
+        const serve::SweepOutcome &out = outcome.value();
+        EXPECT_EQ(out.points, 5u);
+        EXPECT_EQ(out.cacheHits, 2u);
+        EXPECT_EQ(out.computed, 2u);
+        EXPECT_EQ(out.failed, 1u);
+        EXPECT_EQ(out.computed + out.cacheHits + out.failed,
+                  out.points);
+        EXPECT_EQ(out.table.renderNdjson(), per_point)
+            << threads << " threads";
+    }
+    resetSweepDispatchStats();
+}
+
+TEST(SweepService, EveryPointAddsOneLatencySample)
+{
+    // A hit records its lookup, a priced point its share of the
+    // pricing run: cold and warm requests each add one sample per
+    // point to serve.point.
+    serve::ServiceOptions options;
+    options.threads = 2;
+    serve::SweepService service(options);
+    const auto request = serve::parseSweepRequest(kRequest);
+    ASSERT_TRUE(request.ok());
+    const auto samples = [&service] {
+        return service.stats().find("serve.point")->histogram.count();
+    };
+    const std::uint64_t points = request.value().scenario.pointCount();
+
+    const std::uint64_t before = samples();
+    auto cold = service.runSweep(request.value());
+    ASSERT_TRUE(cold.ok());
+    EXPECT_EQ(cold.value().computed, points);
+    EXPECT_EQ(samples(), before + points);
+
+    auto warm = service.runSweep(request.value());
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(warm.value().cacheHits, points);
+    EXPECT_EQ(samples(), before + 2 * points);
 }
 
 TEST(SweepService, WarmSupersetRecomputesOnlyNewPoints)

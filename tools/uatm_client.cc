@@ -20,9 +20,11 @@
  * thread count (0 keeps the scenario's own value).
  *
  * Exit status: 0 success, 1 transport or HTTP (non-2xx) error,
- * 2 bad usage.
+ * 2 bad usage (an option value out of range included: a negative
+ * count, or a port over 65535).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -90,14 +92,11 @@ runOffline(const std::string &body, unsigned threads,
     // parseSweepRequest has rejected unknown kernel names.
     const exp::Kernel &kernel = *exp::findKernel(request.value().kernel);
     exp::RunnerOptions options;
-    if (threads)
-        request.value().threads = threads;
     options.threads =
-        request.value().threads ? request.value().threads : 1;
+        threads ? threads : std::max(request.value().threads, 1u);
     exp::Runner runner(options);
     const exp::ResultTable table =
-        runner.run(request.value().scenario, kernel.columns,
-                   kernel.bind(request.value().scenario));
+        kernel.run(runner, request.value().scenario);
     const Status written =
         writeOutput(out_path, table.renderNdjson());
     if (!written.ok())
@@ -150,7 +149,17 @@ main(int argc, char **argv)
                     "contacting a daemon");
 
     bool helped = false;
-    const Status parsed = options.tryParse(argc, argv, &helped);
+    Status parsed = options.tryParse(argc, argv, &helped);
+    // Counts are range-checked before any cast: --port 70000 is a
+    // usage error, never port 4464.
+    const auto port_option = options.getUnsigned("port", 0, 65535);
+    const auto threads_option =
+        options.getUnsigned("threads", 0, kMaxThreads);
+    for (const Status &status :
+         {port_option.status(), threads_option.status()}) {
+        if (parsed.ok())
+            parsed = status;
+    }
     if (!parsed.ok()) {
         std::fprintf(stderr, "uatm_client: %s\n%s",
                      parsed.message().c_str(),
@@ -161,8 +170,8 @@ main(int argc, char **argv)
         return 0;
 
     const std::string host = options.getString("host");
-    const auto port = std::uint16_t(options.getInt("port"));
-    const unsigned threads = unsigned(options.getInt("threads"));
+    const auto port = std::uint16_t(port_option.value());
+    const auto threads = unsigned(threads_option.value());
     if (threads && !options.getFlag("offline")) {
         std::fprintf(stderr, "uatm_client: --threads needs --offline "
                      "(a daemon reads \"threads\" from the scenario)\n%s",

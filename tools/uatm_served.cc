@@ -22,11 +22,13 @@
  *                           only)
  *
  * Exit status: 0 on a clean signal-driven shutdown, 1 when the
- * server cannot start, 2 on bad usage.
+ * server cannot start, 2 on bad usage (an option value out of
+ * range included: a negative count, or a port over 65535).
  */
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <thread>
@@ -69,7 +71,26 @@ main(int argc, char **argv)
                       "on-disk point cache directory");
 
     bool helped = false;
-    const Status parsed = options.tryParse(argc, argv, &helped);
+    Status parsed = options.tryParse(argc, argv, &helped);
+    // Counts are range-checked before any cast: --port 70000 is a
+    // usage error, never port 4464.
+    const auto count = [&](const char *name,
+                           std::uint64_t max = SIZE_MAX) {
+        auto value = options.getUnsigned(name, 0, max);
+        if (parsed.ok())
+            parsed = value.status();
+        return value.ok() ? value.value() : 0;
+    };
+    serve::ServerOptions server_options;
+    server_options.http.bindAddress = options.getString("bind");
+    server_options.http.port = std::uint16_t(count("port", 65535));
+    server_options.service.threads =
+        unsigned(count("threads", kMaxThreads));
+    server_options.service.maxPointsPerRequest = count("max-points");
+    server_options.service.maxQueueDepth = count("max-queue");
+    server_options.service.cache.capacity = count("cache-capacity");
+    server_options.service.cache.dir =
+        options.getString("cache-dir");
     if (!parsed.ok()) {
         std::fprintf(stderr, "uatm_served: %s\n%s",
                      parsed.message().c_str(),
@@ -78,21 +99,6 @@ main(int argc, char **argv)
     }
     if (helped)
         return 0;
-
-    serve::ServerOptions server_options;
-    server_options.http.bindAddress = options.getString("bind");
-    server_options.http.port =
-        std::uint16_t(options.getInt("port"));
-    server_options.service.threads =
-        unsigned(options.getInt("threads"));
-    server_options.service.maxPointsPerRequest =
-        std::size_t(options.getInt("max-points"));
-    server_options.service.maxQueueDepth =
-        std::size_t(options.getInt("max-queue"));
-    server_options.service.cache.capacity =
-        std::size_t(options.getInt("cache-capacity"));
-    server_options.service.cache.dir =
-        options.getString("cache-dir");
 
     serve::Server server(server_options);
     const Status started = server.start();
