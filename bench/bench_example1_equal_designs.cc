@@ -11,10 +11,10 @@
 
 #include <cstdio>
 
-#include "cache/sweep.hh"
 #include "common.hh"
 #include "core/equivalence.hh"
 #include "cpu/timing_engine.hh"
+#include "exp/scenarios.hh"
 #include "trace/generators.hh"
 
 using namespace uatm;
@@ -77,8 +77,9 @@ main()
     base.lineBytes = 32;
     const std::vector<std::uint64_t> sizes = {
         4096, 8192, 16384, 32768, 65536, 131072};
-    const auto sweep =
-        sweepCacheSize(base, *workload, sizes, 120000, 10000);
+    const auto sweep = exp::sweepCacheSizeParallel(
+        base, exp::WorkloadSpec::shortLevy(404), sizes, 120000,
+        10000, 0);
     TextTable curve({"size", "hit ratio"});
     std::vector<SizePoint> anchors;
     for (const auto &point : sweep) {

@@ -17,6 +17,7 @@
 #include "common.hh"
 #include "cpu/eq8_model.hh"
 #include "cpu/phi_measurement.hh"
+#include "exp/scenarios.hh"
 #include "trace/generators.hh"
 
 using namespace uatm;
@@ -28,18 +29,18 @@ main()
                   "stalling factor vs memory cycle time "
                   "(8KB 2-way, L=32, D=4, six profiles)");
 
-    // Manifest: the machine every phi measurement below simulates
-    // (mirrors measurePhi(); flush traffic suppressed per Eq. 8).
+    // References per profile in every measurement below.
+    constexpr std::uint64_t kRefs = 60000;
+
+    // Manifest: the machine the phi measurements below simulate,
+    // at the default operating point (BNL1, mu_m = 8); the sweeps
+    // vary the feature and the cycle time.
     {
-        const PhiExperiment exp;
-        MemoryConfig memory;
-        memory.busWidthBytes = exp.busWidthBytes;
-        memory.cycleTime = exp.cycleTime;
-        WriteBufferConfig wbuf;
-        wbuf.depth = 64;
-        CpuConfig cpu;
-        cpu.suppressFlushTraffic = true;
-        bench::recordMachine(exp.cache, memory, wbuf, cpu);
+        PhiExperiment exp;
+        exp.refs = kRefs;
+        const PhiMachine machine = phiMachine(exp);
+        bench::recordMachine(exp.cache, machine.memory, machine.wbuf,
+                             machine.cpu);
         bench::recordWorkload("spec92-six-profile-average",
                               exp.seed, exp.refs);
     }
@@ -75,8 +76,9 @@ main()
             PhiExperiment exp;
             exp.feature = features[i];
             exp.cycleTime = mu;
-            exp.refs = 60000;
-            const auto avg = measurePhiAllProfiles(exp).back();
+            exp.refs = kRefs;
+            const auto avg =
+                exp::measurePhiAllProfilesParallel(exp, 0).back();
             row.push_back(TextTable::num(avg.percentOfFull, 1));
             series[i].x.push_back(static_cast<double>(mu));
             series[i].y.push_back(avg.percentOfFull);
@@ -99,8 +101,9 @@ main()
         PhiExperiment exp;
         exp.feature = features[i];
         exp.cycleTime = 8;
-        exp.refs = 60000;
-        const auto results = measurePhiAllProfiles(exp);
+        exp.refs = kRefs;
+        const auto results =
+            exp::measurePhiAllProfilesParallel(exp, 0);
         for (std::size_t p = 0; p < results.size(); ++p) {
             if (i == 0)
                 rows.push_back({results[p].workload});
@@ -125,7 +128,7 @@ main()
                 cache.sizeBytes = 8 * 1024;
                 cache.assoc = 2;
                 cache.lineBytes = 32;
-                est_sum += estimatePhiEq8(*workload, 60000,
+                est_sum += estimatePhiEq8(*workload, kRefs,
                                           StallFeature::BNL1,
                                           cache, 4, mu)
                                .phi;
@@ -135,9 +138,9 @@ main()
             PhiExperiment exp;
             exp.feature = StallFeature::BNL1;
             exp.cycleTime = mu;
-            exp.refs = 60000;
+            exp.refs = kRefs;
             const double dyn =
-                measurePhiAllProfiles(exp).back().phi;
+                exp::measurePhiAllProfilesParallel(exp, 0).back().phi;
             eq8.addRow({TextTable::num(mu, 0),
                         TextTable::num(est, 3),
                         TextTable::num(dyn, 3),
@@ -153,8 +156,9 @@ main()
         PhiExperiment exp;
         exp.feature = StallFeature::BNL3;
         exp.cycleTime = 8;
-        exp.refs = 60000;
-        const auto bnl3_all = measurePhiAllProfiles(exp);
+        exp.refs = kRefs;
+        const auto bnl3_all =
+            exp::measurePhiAllProfilesParallel(exp, 0);
         const auto bnl3 = bnl3_all.back();
         // Final stat dump for the manifest: first profile's full
         // timing breakdown at the BNL3 operating point.
@@ -169,10 +173,14 @@ main()
         exp.feature = StallFeature::BL;
         exp.cycleTime = 4;
         const double bl_small =
-            measurePhiAllProfiles(exp).back().percentOfFull;
+            exp::measurePhiAllProfilesParallel(exp, 0)
+                .back()
+                .percentOfFull;
         exp.cycleTime = 48;
         const double bl_large =
-            measurePhiAllProfiles(exp).back().percentOfFull;
+            exp::measurePhiAllProfilesParallel(exp, 0)
+                .back()
+                .percentOfFull;
         bench::compareLine("BL stalling rises with latency",
                            "rising toward 100 %",
                            TextTable::num(bl_small, 1) + " -> " +

@@ -139,19 +139,27 @@ registerCacheBenchmarks(obs::BenchSuite &suite)
         });
     }
 
-    suite.add("cache/sweep_size", [](obs::BenchState &state) {
-        const std::vector<std::uint64_t> sizes = {
-            4 * 1024, 8 * 1024, 16 * 1024, 32 * 1024};
-        const std::uint64_t refs = 20000;
-        CacheConfig base;
-        base.assoc = 2;
-        base.lineBytes = 32;
-        WorkingSetGenerator source(WorkingSetGenerator::Config{},
-                                   Rng(11));
-        state.setItems(sizes.size() * refs);
-        auto points = sweepCacheSize(base, source, sizes, refs);
-        obs::doNotOptimize(points);
-    });
+    // A 2-way LRU size sweep: planned and priced in one stack-sim
+    // pass, as the `cache` kernel prices such a sweep.
+    std::vector<CacheConfig> sweep_configs;
+    for (std::uint64_t size :
+         {4 * 1024, 8 * 1024, 16 * 1024, 32 * 1024}) {
+        CacheConfig config;
+        config.sizeBytes = size;
+        config.assoc = 2;
+        config.lineBytes = 32;
+        sweep_configs.push_back(config);
+    }
+    suite.add("cache/sweep_size",
+              [sweep_configs](obs::BenchState &state) {
+                  const std::uint64_t refs = 20000;
+                  WorkingSetGenerator source(
+                      WorkingSetGenerator::Config{}, Rng(11));
+                  state.setItems(sweep_configs.size() * refs);
+                  auto surface = runStackSim(
+                      *planStackSim(sweep_configs), source, refs);
+                  obs::doNotOptimize(surface);
+              });
 }
 
 void

@@ -9,6 +9,7 @@
 
 #include "common.hh"
 #include "cpu/phi_measurement.hh"
+#include "exp/scenarios.hh"
 
 using namespace uatm;
 
@@ -21,20 +22,20 @@ main()
 
     const double line_over_bus = 32.0 / 4.0;
 
-    // Manifest: the Figure 1 machine every phi measurement below
-    // simulates (flush traffic suppressed per Eq. 8).
+    // References per profile in every measurement below.
+    constexpr std::uint64_t kRefs = 60000;
+
+    // Manifest: the Figure 1 machine the phi measurements below
+    // simulate, at mu_m = 8 (the rows vary the feature).
     {
-        const PhiExperiment exp;
-        MemoryConfig memory;
-        memory.busWidthBytes = exp.busWidthBytes;
-        memory.cycleTime = 8;
-        WriteBufferConfig wbuf;
-        wbuf.depth = 64;
-        CpuConfig cpu;
-        cpu.suppressFlushTraffic = true;
-        bench::recordMachine(exp.cache, memory, wbuf, cpu);
+        PhiExperiment exp;
+        exp.cycleTime = 8;
+        exp.refs = kRefs;
+        const PhiMachine machine = phiMachine(exp);
+        bench::recordMachine(exp.cache, machine.memory, machine.wbuf,
+                             machine.cpu);
         bench::recordWorkload("spec92-six-profile-average",
-                              exp.seed, 60000);
+                              exp.seed, exp.refs);
     }
 
     bench::section("Table 2 (phi in units of mu_m, L/D = 8)");
@@ -71,8 +72,8 @@ main()
         PhiExperiment exp;
         exp.feature = f;
         exp.cycleTime = 8;
-        exp.refs = 60000;
-        const auto all = measurePhiAllProfiles(exp);
+        exp.refs = kRefs;
+        const auto all = exp::measurePhiAllProfilesParallel(exp, 0);
         const auto avg = all.back();
         bench::recordStats(all.front().timing, exp.cycleTime);
         const PhiBounds b = phiBounds(f, line_over_bus);

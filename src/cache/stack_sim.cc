@@ -200,15 +200,6 @@ StackSimulator::StackSimulator(const GeometryGrid &grid,
 }
 
 void
-StackSimulator::access(const MemoryReference &ref)
-{
-    count(&ref, 1);
-    if (touchedLines_.insert(ref.addr >> lineShift_).second)
-        ++coldMisses_; // first touch misses in every geometry
-    walk(ref);
-}
-
-void
 StackSimulator::feed(const StreamBlock &block)
 {
     if (!warm_ && block.first >= warmupRefs_)

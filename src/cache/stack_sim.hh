@@ -30,9 +30,9 @@
  * `cache` kernel's stream form runs one such shard per lane.
  *
  * The engine's results are bit-equal to running SetAssocCache per
- * geometry (see tests/test_random_validation.cc).  Its callers,
- * the cache/sweep functions and the `cache` kernel (exp/kernel.hh),
- * decide through one planStackSim().
+ * geometry (see tests/test_random_validation.cc).  Its caller,
+ * the `cache` kernel (exp/kernel.hh), plans the grid through
+ * planStackSim() (cache/sweep).
  */
 
 #ifndef UATM_CACHE_STACK_SIM_HH
@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -127,8 +126,7 @@ class GeometryHitSurface
 
 /**
  * The engine proper.  Feed it a stream's blocks (trace/fanout) and
- * finish(), or apply single references and ask for the surface;
- * runStackSim() below wraps the common case.
+ * finish(); runStackSim() below wraps the one-reader case.
  */
 class StackSimulator
 {
@@ -140,10 +138,6 @@ class StackSimulator
     explicit StackSimulator(const GeometryGrid &grid,
                             std::uint64_t warmup_refs = 0);
 
-    /** Apply one reference to every grid geometry at once,
-     *  tracking first touches itself. */
-    void access(const MemoryReference &ref);
-
     /** Apply @p block's references in order, taking first touches
      *  from its flags after the block's stack work, so simulators
      *  sharing the flags rarely wait on the one computing them.
@@ -153,9 +147,6 @@ class StackSimulator
 
     /** The post-warm-up window of the blocks fed so far. */
     GeometryHitSurface finish() const;
-
-    /** Current cumulative per-geometry statistics. */
-    GeometryHitSurface surface() const;
 
     const GeometryGrid &grid() const { return grid_; }
 
@@ -202,10 +193,12 @@ class StackSimulator
     std::uint64_t instructions_ = 0;
     std::uint64_t storeBytes_ = 0;
     std::uint64_t coldMisses_ = 0;
-    std::unordered_set<Addr> touchedLines_;
 
     std::uint64_t warmupRefs_ = 0;
     std::optional<GeometryHitSurface> warm_;
+
+    /** Current cumulative per-geometry statistics. */
+    GeometryHitSurface surface() const;
 
     /** The geometry-independent counters of @p n references. */
     void count(const MemoryReference *refs, std::size_t n);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the cache sweep drivers.
+ * Implementation of the cache runs and the sweep planner.
  */
 
 #include "cache/sweep.hh"
@@ -163,71 +163,6 @@ CacheRun::finish() const
     measured.instructions -= warm.instructions;
 
     return CacheRunResult{cache_.config(), measured};
-}
-
-namespace {
-
-/** Shared body of the two geometry sweeps: vary one knob, price
- *  every value in one pass if planStackSim allows, else rerun. */
-std::vector<SweepPoint>
-sweepGeometry(const CacheConfig &base, TraceSource &source,
-              const std::vector<std::uint64_t> &values,
-              std::uint64_t refs, std::uint64_t warmup_refs,
-              void (*set)(CacheConfig &, std::uint64_t))
-{
-    if (values.empty())
-        return {};
-    std::vector<CacheConfig> configs(values.size(), base);
-    for (std::size_t i = 0; i < values.size(); ++i)
-        set(configs[i], values[i]);
-
-    const std::optional<GeometryGrid> grid = planStackSim(configs);
-    GeometryHitSurface surface;
-    if (grid)
-        surface = runStackSim(*grid, source, refs, warmup_refs);
-
-    std::vector<SweepPoint> points;
-    points.reserve(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        CacheRunResult run;
-        if (grid)
-            run = {configs[i], okOrThrow(surface.statsFor(configs[i]))};
-        else
-            run = runCacheSim(configs[i], source, refs, warmup_refs);
-        points.push_back(SweepPoint{values[i], run.hitRatio(),
-                                    run.missRatio(),
-                                    run.flushRatio()});
-    }
-    return points;
-}
-
-} // namespace
-
-std::vector<SweepPoint>
-sweepCacheSize(const CacheConfig &base, TraceSource &source,
-               const std::vector<std::uint64_t> &sizes,
-               std::uint64_t refs, std::uint64_t warmup_refs)
-{
-    UATM_PROFILE_SCOPE("cache.sweep_size");
-    return sweepGeometry(base, source, sizes, refs, warmup_refs,
-                         [](CacheConfig &config, std::uint64_t v) {
-                             config.sizeBytes = v;
-                         });
-}
-
-std::vector<SweepPoint>
-sweepLineSize(const CacheConfig &base, TraceSource &source,
-              const std::vector<std::uint32_t> &line_sizes,
-              std::uint64_t refs, std::uint64_t warmup_refs)
-{
-    UATM_PROFILE_SCOPE("cache.sweep_line");
-    std::vector<std::uint64_t> values(line_sizes.begin(),
-                                      line_sizes.end());
-    return sweepGeometry(base, source, values, refs, warmup_refs,
-                         [](CacheConfig &config, std::uint64_t v) {
-                             config.lineBytes =
-                                 static_cast<std::uint32_t>(v);
-                         });
 }
 
 } // namespace uatm

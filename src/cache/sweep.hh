@@ -1,9 +1,12 @@
 /**
  * @file
- * Convenience drivers: run a workload through a cache configuration
- * and sweep geometry parameters.  These produce the measured
- * hit-ratio curves that stand in for the paper's trace-driven
- * numbers (Short & Levy sizes in Example 1, Smith MR(L) in Fig. 6).
+ * Cache runs and the geometry-sweep planner: runCacheSim prices one
+ * configuration, planStackSim decides whether a sweep's points
+ * share one stack-sim pass.  The sweeps themselves run through the
+ * `cache` kernel (exp/kernel, exp/scenarios), which produces the
+ * measured hit-ratio curves that stand in for the paper's
+ * trace-driven numbers (Short & Levy sizes in Example 1, Smith
+ * MR(L) in Fig. 6).
  */
 
 #ifndef UATM_CACHE_SWEEP_HH
@@ -77,32 +80,6 @@ struct SweepPoint
     double missRatio;
     double flushRatio;
 };
-
-/**
- * Hit ratio as a function of cache size, geometry otherwise fixed.
- * The source is reset before each run so every size sees the same
- * reference stream.
- *
- * When planStackSim allows (LRU + write-allocate), the whole
- * sweep runs as ONE stack-distance pass (cache/stack_sim) instead
- * of one simulation per size — bit-identical results, roughly one
- * trace traversal.  A sweep that cannot take the fast path is
- * never a silent fallback: it logs the reason and bumps
- * sweepDispatchCounters().declined.
- */
-std::vector<SweepPoint>
-sweepCacheSize(const CacheConfig &base, TraceSource &source,
-               const std::vector<std::uint64_t> &sizes,
-               std::uint64_t refs, std::uint64_t warmup_refs = 0);
-
-/**
- * Miss ratio as a function of line size at fixed capacity — the
- * MR(L) input to the Smith line-size validation.
- */
-std::vector<SweepPoint>
-sweepLineSize(const CacheConfig &base, TraceSource &source,
-              const std::vector<std::uint32_t> &line_sizes,
-              std::uint64_t refs, std::uint64_t warmup_refs = 0);
 
 /**
  * Process-wide tally of how geometry sweeps were dispatched, so a

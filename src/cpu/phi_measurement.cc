@@ -22,27 +22,30 @@ PhiExperiment::PhiExperiment()
     cache.replacement = ReplacementKind::LRU;
 }
 
-PhiResult
-measurePhi(const PhiExperiment &experiment,
-           const std::string &profile_name)
+PhiMachine
+phiMachine(const PhiExperiment &experiment)
 {
-    MemoryConfig memory;
-    memory.busWidthBytes = experiment.busWidthBytes;
-    memory.cycleTime = experiment.cycleTime;
-
+    PhiMachine machine;
+    machine.memory.busWidthBytes = experiment.busWidthBytes;
+    machine.memory.cycleTime = experiment.cycleTime;
     // Phi isolates the read-miss stall component (Eq. 8 has no
     // flush term), so dirty-victim traffic is suppressed entirely;
     // the paper's Figure 1 likewise reports pure read-miss
     // stalling.
-    WriteBufferConfig wbuf;
-    wbuf.depth = 64;
-    wbuf.readBypass = true;
+    machine.wbuf.depth = 64;
+    machine.wbuf.readBypass = true;
+    machine.cpu.feature = experiment.feature;
+    machine.cpu.suppressFlushTraffic = true;
+    return machine;
+}
 
-    CpuConfig cpu;
-    cpu.feature = experiment.feature;
-    cpu.suppressFlushTraffic = true;
-
-    TimingEngine engine(experiment.cache, memory, wbuf, cpu);
+PhiResult
+measurePhi(const PhiExperiment &experiment,
+           const std::string &profile_name)
+{
+    const PhiMachine machine = phiMachine(experiment);
+    TimingEngine engine(experiment.cache, machine.memory,
+                        machine.wbuf, machine.cpu);
     auto workload = Spec92Profile::make(profile_name,
                                         experiment.seed);
 
@@ -73,16 +76,6 @@ appendPhiAverage(std::vector<PhiResult> &results)
     average.phi = phi_sum / n;
     average.percentOfFull = pct_sum / n;
     results.push_back(average);
-}
-
-std::vector<PhiResult>
-measurePhiAllProfiles(const PhiExperiment &experiment)
-{
-    std::vector<PhiResult> results;
-    for (const auto &name : Spec92Profile::names())
-        results.push_back(measurePhi(experiment, name));
-    appendPhiAverage(results);
-    return results;
 }
 
 } // namespace uatm

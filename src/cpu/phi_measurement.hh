@@ -2,9 +2,11 @@
  * @file
  * Stalling-factor measurement harness (paper Sec. 4.2, Figure 1).
  *
- * Runs the timing engine over the SPEC92-like profiles and reports
- * the empirical stalling factor phi, optionally averaged across the
- * six programs exactly as the paper's Figure 1 does.
+ * Runs the timing engine over one SPEC92-like profile and reports
+ * the empirical stalling factor phi; appendPhiAverage averages the
+ * six programs exactly as the paper's Figure 1 does.  The six-
+ * profile driver is exp::measurePhiAllProfilesParallel
+ * (exp/scenarios).
  */
 
 #ifndef UATM_CPU_PHI_MEASUREMENT_HH
@@ -54,24 +56,31 @@ struct PhiResult
     TimingStats timing;
 };
 
-/** Measure phi on one named SPEC92-like profile. */
+/** The machine a phi measurement simulates around its cache. */
+struct PhiMachine
+{
+    MemoryConfig memory;
+    WriteBufferConfig wbuf;
+    CpuConfig cpu;
+};
+
+/** The memory, write-buffer and CPU configs measurePhi runs
+ *  @p experiment on (flush traffic suppressed per Eq. 8). */
+PhiMachine phiMachine(const PhiExperiment &experiment);
+
+/**
+ * Measure phi on one named SPEC92-like profile: the per-profile
+ * reference that exp::measurePhiAllProfilesParallel runs once per
+ * profile.
+ */
 PhiResult measurePhi(const PhiExperiment &experiment,
                      const std::string &profile_name);
 
 /**
  * Append the Figure 1 "average" row — the unweighted mean of phi
  * and of the percent-of-ceiling across the rows already present.
- * Shared by the serial and the scenario-layer parallel drivers so
- * both emit the same row.
  */
 void appendPhiAverage(std::vector<PhiResult> &results);
-
-/**
- * Measure phi on all six profiles and append an "average" row,
- * which is the quantity Figure 1 plots.
- */
-std::vector<PhiResult> measurePhiAllProfiles(
-    const PhiExperiment &experiment);
 
 } // namespace uatm
 

@@ -59,13 +59,6 @@ nsBetween(Clock::time_point from, Clock::time_point to)
             .count());
 }
 
-bool
-envTelemetryArmed()
-{
-    const char *env = std::getenv("UATM_RUNNER_TELEMETRY");
-    return env && *env && std::string_view(env) != "0";
-}
-
 /** UATM_PROGRESS: 0/unset = off, numeric N = every N points,
  *  any other non-"0" value = auto interval. */
 std::size_t
@@ -601,8 +594,7 @@ Runner::runLanes(const Scenario &scenario,
 
     obs::EventTracer &tracer = obs::globalTracer();
     const bool traceArmed = tracer.enabled();
-    const bool telemetryArmed = options_.telemetry || traceArmed ||
-                                envTelemetryArmed();
+    const bool telemetryArmed = options_.telemetry || traceArmed;
 
     std::vector<std::vector<Cell>> slots(points.size());
     // One failure slot per point keeps the merge deterministic:

@@ -40,7 +40,7 @@
  * tracer live, preserving the deep engine-internal traces.
  *
  * With RunnerOptions::telemetry armed (automatic when the tracer
- * is enabled, or via UATM_RUNNER_TELEMETRY=1) each worker also
+ * is enabled) each worker also
  * records what it did — points, kernel/acquire/idle time, one
  * timing per point — lock-free into per-worker slots, merged into
  * lastTelemetry() at join.  Disarmed runs skip all of it.  Armed
@@ -92,9 +92,9 @@ struct RunnerOptions
 
     /**
      * Record per-worker telemetry (see lastTelemetry()).  Armed
-     * automatically when the global event tracer is enabled or
-     * UATM_RUNNER_TELEMETRY is set to anything but "0"; costs two
-     * extra clock reads per point plus one timing record.
+     * automatically when the global event tracer is enabled;
+     * costs two extra clock reads per point plus one timing
+     * record.
      */
     bool telemetry = false;
 

@@ -5,13 +5,13 @@
  * the cache-geometry sweeps, the phi measurement (Figure 1), the
  * Sec. 5.3 feature grid, and the Sec. 5.4 line-size tradeoff.
  *
- * Each experiment keeps its serial kernel in its home module
- * (cache/sweep, cpu/phi_measurement, core/tradeoff,
- * linesize/line_tradeoff); this layer only declares the grid and
- * shards it (geometry sweeps through the exp/kernel `cache`
- * kernel).  The *Parallel drop-ins return the same result types
- * as their serial counterparts and are bit-identical to them at
- * any thread count.
+ * Each experiment keeps its per-point reference in its home module
+ * (runCacheSim in cache/sweep, measurePhi in cpu/phi_measurement,
+ * core/tradeoff, linesize/line_tradeoff); this layer only declares
+ * the grid and shards it (geometry sweeps through the exp/kernel
+ * `cache` kernel).  These are the only sweep and six-profile phi
+ * drivers: the CLIs, the daemon and the paper benches all call
+ * them, and their results are bit-identical at any thread count.
  */
 
 #ifndef UATM_EXP_SCENARIOS_HH
@@ -64,8 +64,10 @@ ResultTable runGeometrySweep(const GeometrySweep &spec,
                                  nullptr);
 
 /**
- * Parallel drop-in for uatm::sweepCacheSize: same result, any
- * thread count (0 = hardware concurrency).
+ * Hit ratio as a function of cache size, geometry otherwise
+ * fixed: runGeometrySweep on the size axis with a runner of
+ * @p threads workers (0 = hardware concurrency).  Every point
+ * equals runCacheSim on a fresh source of @p workload.
  */
 std::vector<SweepPoint>
 sweepCacheSizeParallel(const CacheConfig &base,
@@ -83,14 +85,10 @@ sweepCacheSizeParallel(const CacheConfig &base,
 Scenario makePhiScenario(const PhiExperiment &experiment);
 
 /**
- * Measure phi on every profile on @p runner.  Columns: workload,
- * phi, pct_of_full.  The "average" row Figure 1 plots is appended
- * after the merge (it depends on every point).
+ * Measure phi on all six profiles (measurePhi per profile, on a
+ * runner of @p threads workers; 0 = hardware concurrency) and
+ * append the "average" row Figure 1 plots (appendPhiAverage).
  */
-ResultTable runPhiScenario(const PhiExperiment &experiment,
-                           Runner &runner);
-
-/** Parallel drop-in for uatm::measurePhiAllProfiles. */
 std::vector<PhiResult>
 measurePhiAllProfilesParallel(const PhiExperiment &experiment,
                               unsigned threads = 0);

@@ -2,8 +2,8 @@
  * @file
  * Per-worker runner telemetry.
  *
- * When RunnerOptions::telemetry is armed (or UATM_RUNNER_TELEMETRY
- * is set), each Runner worker records what it did — points
+ * When RunnerOptions::telemetry is armed (or the global event
+ * tracer is enabled), each Runner worker records what it did — points
  * executed, kernel time, work-acquisition time, idle time, and one
  * timing record per point — into thread-local storage, and the
  * runner merges the per-worker records into a RunnerTelemetry at

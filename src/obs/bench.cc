@@ -13,11 +13,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
 #include "obs/manifest.hh"
 #include "util/logging.hh"
+#include "util/options.hh"
 
 namespace uatm::obs {
 
@@ -120,13 +122,13 @@ BenchSuite::runOne(const std::string &name, const BenchFn &fn,
     if (reps == 0) {
         reps = 20;
         if (const char *env = std::getenv("UATM_BENCH_REPS")) {
-            const long long parsed = std::atoll(env);
-            if (parsed >= 1) {
-                reps = static_cast<std::uint32_t>(parsed);
-            } else {
-                warn("ignoring invalid UATM_BENCH_REPS='", env,
-                     "'");
-            }
+            const Expected<std::uint64_t> parsed = parseUnsigned(
+                env, 1, std::numeric_limits<std::uint32_t>::max());
+            if (parsed.ok())
+                reps = static_cast<std::uint32_t>(parsed.value());
+            else
+                warn("ignoring UATM_BENCH_REPS: ",
+                     parsed.status().message());
         }
     }
     const std::uint32_t warmup = std::max(options.warmup, 1u);

@@ -13,6 +13,7 @@
 #include "obs/json.hh"
 #include "obs/registry.hh"
 #include "util/logging.hh"
+#include "util/options.hh"
 
 namespace uatm::obs {
 
@@ -207,11 +208,13 @@ makeGlobalTracer()
 {
     std::size_t capacity = EventTracer::kDefaultCapacity;
     if (const char *env = std::getenv("UATM_TRACE_EVENTS")) {
-        const long long parsed = std::atoll(env);
-        if (parsed >= 1)
-            capacity = static_cast<std::size_t>(parsed);
+        const Expected<std::uint64_t> parsed =
+            parseUnsigned(env, 1, EventTracer::kMaxEnvCapacity);
+        if (parsed.ok())
+            capacity = static_cast<std::size_t>(parsed.value());
         else
-            warn("ignoring invalid UATM_TRACE_EVENTS='", env, "'");
+            warn("ignoring UATM_TRACE_EVENTS: ",
+                 parsed.status().message());
     }
     EventTracer tracer(capacity);
     if (const char *env = std::getenv("UATM_TRACE");

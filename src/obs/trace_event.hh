@@ -22,7 +22,9 @@
  * The process-wide tracer in globalTracer() arms itself from the
  * environment: set UATM_TRACE=<path> and every binary that drives
  * a TimingEngine writes a Chrome trace to <path> at exit.
- * UATM_TRACE_EVENTS overrides the default ring capacity.
+ * UATM_TRACE_EVENTS overrides the default ring capacity, up to
+ * kMaxEnvCapacity events; any other value warns and keeps the
+ * default.
  */
 
 #ifndef UATM_OBS_TRACE_EVENT_HH
@@ -60,6 +62,11 @@ class EventTracer
 {
   public:
     static constexpr std::size_t kDefaultCapacity = 1u << 20;
+
+    /** Largest ring UATM_TRACE_EVENTS may ask for (64 times the
+     *  default): a larger count is more likely a typo than a need,
+     *  and its ring could fail to allocate on enable. */
+    static constexpr std::size_t kMaxEnvCapacity = 1u << 26;
 
     explicit EventTracer(std::size_t capacity = kDefaultCapacity);
 

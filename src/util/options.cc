@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -16,6 +17,25 @@
 #include "util/logging.hh"
 
 namespace uatm {
+
+Expected<std::uint64_t>
+parseUnsigned(std::string_view text, std::uint64_t min,
+              std::uint64_t max)
+{
+    const bool digits =
+        !text.empty() &&
+        std::all_of(text.begin(), text.end(), [](unsigned char c) {
+            return std::isdigit(c) != 0;
+        });
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    if (!digits || std::from_chars(text.data(), end, v).ec != std::errc{} ||
+        v < min || v > max)
+        return Status::invalidArgument("must be an integer in [", min,
+                                       ", ", max, "] (got '", text,
+                                       "')");
+    return v;
+}
 
 Expected<std::vector<KeyValue>>
 parseKeyValueList(std::string_view text)
@@ -201,22 +221,12 @@ Expected<std::uint64_t>
 OptionParser::getUnsigned(const std::string &name, std::uint64_t min,
                           std::uint64_t max) const
 {
-    const std::string &text = require(name, Kind::Int).value;
-    const bool digits =
-        !text.empty() &&
-        std::all_of(text.begin(), text.end(), [](unsigned char c) {
-            return std::isdigit(c) != 0;
-        });
-    errno = 0;
-    const unsigned long long v =
-        digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
-    if (!digits || errno == ERANGE || v < min || v > max) {
-        return Status::invalidArgument("option '--", name,
-                                       "' must be an integer in [",
-                                       min, ", ", max, "] (got '",
-                                       text, "')");
-    }
-    return static_cast<std::uint64_t>(v);
+    Expected<std::uint64_t> v =
+        parseUnsigned(require(name, Kind::Int).value, min, max);
+    if (!v.ok())
+        return Status::invalidArgument("option '--", name, "' ",
+                                       v.status().message());
+    return v;
 }
 
 double

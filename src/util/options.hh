@@ -40,6 +40,18 @@ struct KeyValue
 Expected<std::vector<KeyValue>>
 parseKeyValueList(std::string_view text);
 
+/**
+ * @p text as a count in [@p min, @p max]: InvalidArgument, before
+ * any cast, for a sign, a fraction, anything but decimal digits, or
+ * a value out of range ("-5", "4.5", "3x", "1e9", "4294967296"
+ * under a 32-bit max), mirroring obs::JsonValue::asUnsigned.  The
+ * one check behind OptionParser::getUnsigned and the count-valued
+ * environment variables.
+ */
+Expected<std::uint64_t> parseUnsigned(std::string_view text,
+                                      std::uint64_t min,
+                                      std::uint64_t max);
+
 /** Most worker threads a --threads option accepts: more is a typo,
  *  not a machine. */
 inline constexpr std::uint64_t kMaxThreads = 1024;
@@ -94,13 +106,8 @@ class OptionParser
     std::string getString(const std::string &name) const;
     std::int64_t getInt(const std::string &name) const;
 
-    /**
-     * A declared integer option as a count in [@p min, @p max]:
-     * InvalidArgument, before any cast, for a sign, a fraction,
-     * anything but decimal digits, or a value out of range ("-5",
-     * "4.5", "4294967296" under a 32-bit max), mirroring
-     * obs::JsonValue::asUnsigned.
-     */
+    /** A declared integer option as a count in [@p min, @p max]
+     *  (parseUnsigned; the error names the option). */
     Expected<std::uint64_t>
     getUnsigned(const std::string &name, std::uint64_t min = 0,
                 std::uint64_t max =

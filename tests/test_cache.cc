@@ -8,6 +8,7 @@
 
 #include "cache/cache.hh"
 #include "cache/sweep.hh"
+#include "exp/scenarios.hh"
 #include "trace/generators.hh"
 
 namespace uatm {
@@ -305,13 +306,16 @@ TEST(CacheProperty, HitRatioMonotoneInSize)
     ws.stackDepth = 300;
     ws.decay = 0.98;
     ws.coldFraction = 0.01;
-    WorkingSetGenerator gen(ws, Rng(11));
+    const auto workload =
+        exp::WorkloadSpec::custom("working-set", [ws] {
+            return std::make_unique<WorkingSetGenerator>(ws, Rng(11));
+        });
 
     CacheConfig base;
     base.assoc = 2;
     base.lineBytes = 32;
-    const auto points = sweepCacheSize(
-        base, gen, {2048, 8192, 32768, 131072}, 30000);
+    const auto points = exp::sweepCacheSizeParallel(
+        base, workload, {2048, 8192, 32768, 131072}, 30000);
     for (std::size_t i = 1; i < points.size(); ++i) {
         EXPECT_GE(points[i].hitRatio + 0.005,
                   points[i - 1].hitRatio)
@@ -327,13 +331,19 @@ TEST(CacheProperty, SpatialLocalityRewardsLargerLines)
     stream.elemSize = 4;
     stream.strideBytes = 4;
     stream.storeFraction = 0.0;
-    StrideGenerator gen(stream, Rng(3));
-
-    CacheConfig base;
-    base.sizeBytes = 8 * 1024;
-    base.assoc = 2;
-    const auto points =
-        sweepLineSize(base, gen, {8, 16, 32, 64}, 16384);
+    exp::GeometrySweep spec;
+    spec.axis = exp::GeometrySweep::Axis::Line;
+    spec.base.sizeBytes = 8 * 1024;
+    spec.base.assoc = 2;
+    spec.workload = exp::WorkloadSpec::custom("stride", [stream] {
+        return std::make_unique<StrideGenerator>(stream, Rng(3));
+    });
+    spec.values = {8, 16, 32, 64};
+    spec.refs = 16384;
+    exp::Runner runner(exp::RunnerOptions{0});
+    std::vector<SweepPoint> points;
+    exp::runGeometrySweep(spec, runner, &points);
+    ASSERT_EQ(points.size(), spec.values.size());
     for (std::size_t i = 1; i < points.size(); ++i) {
         EXPECT_NEAR(points[i].missRatio,
                     points[i - 1].missRatio / 2.0,

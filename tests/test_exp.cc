@@ -421,49 +421,59 @@ TEST(Runner, StatsRegisterUnderPrefix)
 
 // ------------------------------------------- parallel == serial
 
+/** Each point of @p points against runCacheSim on a fresh source
+ *  of @p spec's workload: the per-point reference. */
+void
+expectSweepMatchesRunCacheSim(const std::vector<SweepPoint> &points,
+                              const GeometrySweep &spec)
+{
+    ASSERT_EQ(points.size(), spec.values.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        CacheConfig config = spec.base;
+        if (spec.axis == GeometrySweep::Axis::Size)
+            config.sizeBytes = spec.values[i];
+        else
+            config.lineBytes =
+                static_cast<std::uint32_t>(spec.values[i]);
+        auto source = okOrThrow(spec.workload.make());
+        const CacheRunResult run = runCacheSim(
+            config, *source, spec.refs, spec.warmupRefs);
+        EXPECT_EQ(points[i].value, spec.values[i]);
+        EXPECT_EQ(points[i].hitRatio, run.hitRatio()) << i;
+        EXPECT_EQ(points[i].missRatio, run.missRatio()) << i;
+        EXPECT_EQ(points[i].flushRatio, run.flushRatio()) << i;
+    }
+}
+
 TEST(Scenarios, ParallelSizeSweepMatchesSerial)
 {
-    CacheConfig base;
-    base.assoc = 2;
-    base.lineBytes = 32;
-    const std::vector<std::uint64_t> sizes = {4096, 8192, 16384,
-                                              32768};
-    const std::uint64_t refs = 20000;
+    GeometrySweep spec;
+    spec.base.assoc = 2;
+    spec.base.lineBytes = 32;
+    spec.workload = WorkloadSpec::spec92("hydro2d", 23);
+    spec.values = {4096, 8192, 16384, 32768};
+    spec.refs = 20000;
+    spec.warmupRefs = spec.refs / 10;
 
-    auto source = Spec92Profile::make("hydro2d", 23);
-    const auto serial =
-        sweepCacheSize(base, *source, sizes, refs, refs / 10);
-    const auto parallel = sweepCacheSizeParallel(
-        base, WorkloadSpec::spec92("hydro2d", 23), sizes, refs,
-        refs / 10, 4);
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].value, parallel[i].value);
-        EXPECT_EQ(serial[i].hitRatio, parallel[i].hitRatio);
-        EXPECT_EQ(serial[i].missRatio, parallel[i].missRatio);
-        EXPECT_EQ(serial[i].flushRatio, parallel[i].flushRatio);
-    }
+    resetSweepDispatchStats();
+    const auto parallel =
+        sweepCacheSizeParallel(spec.base, spec.workload, spec.values,
+                               spec.refs, spec.warmupRefs, 4);
+    // An LRU size sweep shares one stack pass.
+    EXPECT_EQ(sweepDispatchCounters().fastPath, 1u);
+    resetSweepDispatchStats();
+    expectSweepMatchesRunCacheSim(parallel, spec);
 }
 
 TEST(Scenarios, ParallelLineSweepMatchesSerial)
 {
-    CacheConfig base;
-    base.sizeBytes = 8 * 1024;
-    base.assoc = 2;
-    const std::vector<std::uint32_t> lines = {16, 32, 64};
-    const std::uint64_t refs = 15000;
-
-    auto source = Spec92Profile::make("wave5", 31);
-    const auto serial =
-        sweepLineSize(base, *source, lines, refs);
-
     GeometrySweep spec;
     spec.axis = GeometrySweep::Axis::Line;
-    spec.base = base;
+    spec.base.sizeBytes = 8 * 1024;
+    spec.base.assoc = 2;
     spec.workload = WorkloadSpec::spec92("wave5", 31);
-    spec.values.assign(lines.begin(), lines.end());
-    spec.refs = refs;
+    spec.values = {16, 32, 64};
+    spec.refs = 15000;
     Runner runner(RunnerOptions{3});
     std::vector<SweepPoint> parallel;
     resetSweepDispatchStats();
@@ -474,14 +484,7 @@ TEST(Scenarios, ParallelLineSweepMatchesSerial)
     EXPECT_EQ(counters.perPoint, 1u);
     EXPECT_EQ(counters.declined, 0u);
     resetSweepDispatchStats();
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].value, parallel[i].value);
-        EXPECT_EQ(serial[i].hitRatio, parallel[i].hitRatio);
-        EXPECT_EQ(serial[i].missRatio, parallel[i].missRatio);
-        EXPECT_EQ(serial[i].flushRatio, parallel[i].flushRatio);
-    }
+    expectSweepMatchesRunCacheSim(parallel, spec);
 }
 
 TEST(Scenarios, ParallelPhiMatchesSerial)
@@ -489,7 +492,10 @@ TEST(Scenarios, ParallelPhiMatchesSerial)
     PhiExperiment experiment;
     experiment.refs = 20000;
 
-    const auto serial = measurePhiAllProfiles(experiment);
+    std::vector<PhiResult> serial;
+    for (const std::string &name : Spec92Profile::names())
+        serial.push_back(measurePhi(experiment, name));
+    appendPhiAverage(serial);
     const auto parallel =
         measurePhiAllProfilesParallel(experiment, 4);
 

@@ -46,12 +46,12 @@ TEST(ShortLevy, CurveRisesThroughTheExampleRange)
 {
     // The whole point of the mix: the size -> HR curve rises
     // meaningfully from 8K through 128K, like [14]'s data.
-    auto workload = ShortLevyWorkload::make(42);
     CacheConfig base;
     base.assoc = 2;
     base.lineBytes = 32;
-    const auto points = sweepCacheSize(
-        base, *workload, {8192, 32768, 131072}, 60000, 6000);
+    const auto points = exp::sweepCacheSizeParallel(
+        base, exp::WorkloadSpec::shortLevy(42), {8192, 32768, 131072},
+        60000, 6000);
     ASSERT_EQ(points.size(), 3u);
     EXPECT_GT(points[1].hitRatio, points[0].hitRatio + 0.02);
     EXPECT_GT(points[2].hitRatio, points[1].hitRatio + 0.005);

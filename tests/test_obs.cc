@@ -253,6 +253,43 @@ TEST(EventTracer, DisabledLargeRingReportsCapacityWithNoEvents)
               std::string::npos);
 }
 
+TEST(EventTracer, EnvironmentCapacityIsRangeChecked)
+{
+    // globalTracer() reads UATM_TRACE_EVENTS once per process, so
+    // each case runs in a freshly started child.
+    const std::string style = ::testing::GTEST_FLAG(death_test_style);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    constexpr std::size_t kDefault = obs::EventTracer::kDefaultCapacity;
+    const struct
+    {
+        const char *value;
+        std::size_t capacity;
+    } cases[] = {
+        {"100", 100},
+        {"67108864", obs::EventTracer::kMaxEnvCapacity},
+        {"67108865", kDefault},
+        {"1e9", kDefault},
+        {"3x", kDefault},
+        {"-5", kDefault},
+        {"0", kDefault},
+    };
+    for (const auto &c : cases) {
+        const bool rejected = c.capacity == kDefault;
+        EXPECT_EXIT(
+            {
+                unsetenv("UATM_TRACE"); // never allocate the ring
+                setenv("UATM_TRACE_EVENTS", c.value, 1);
+                std::exit(obs::globalTracer().capacity() == c.capacity
+                              ? 0
+                              : 1);
+            },
+            testing::ExitedWithCode(0),
+            rejected ? "ignoring UATM_TRACE_EVENTS" : "")
+            << c.value;
+    }
+    ::testing::GTEST_FLAG(death_test_style) = style;
+}
+
 TEST(EventTracer, EventsRecordedAfterLateEnableComeBack)
 {
     obs::EventTracer tracer(4);
@@ -890,6 +927,36 @@ TEST(BenchSuite, RunsAndRecordsResults)
     EXPECT_EQ(result.itemsPerRep, 4u);
     EXPECT_GT(result.nsPerRepMedian, 0.0);
     EXPECT_GT(result.itemsPerSecond(), 0.0);
+}
+
+TEST(BenchSuite, EnvironmentRepsAreRangeChecked)
+{
+    obs::BenchSuite suite("unit");
+    suite.add("noop", [](obs::BenchState &state) { state.setItems(1); });
+    obs::BenchSuite::RunOptions options;
+    options.warmup = 1;
+    options.writeJson = false;
+    const struct
+    {
+        const char *value;
+        std::uint64_t reps;
+    } cases[] = {
+        {"3", 3},  {"3x", 20}, {"1e3", 20},        {"-3", 20},
+        {"0", 20}, {"", 20},   {"5000000000", 20},
+    };
+    for (const auto &c : cases) {
+        setenv("UATM_BENCH_REPS", c.value, 1);
+        testing::internal::CaptureStderr();
+        suite.run(options);
+        const std::string err = testing::internal::GetCapturedStderr();
+        unsetenv("UATM_BENCH_REPS");
+        ASSERT_EQ(suite.results().size(), 1u);
+        EXPECT_EQ(suite.results()[0].reps, c.reps) << c.value;
+        EXPECT_EQ(err.find("ignoring UATM_BENCH_REPS") !=
+                      std::string::npos,
+                  c.reps == 20)
+            << c.value << ": " << err;
+    }
 }
 
 TEST(BenchSuite, FilterAndListRunNothing)

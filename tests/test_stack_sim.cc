@@ -4,7 +4,8 @@
  * (cache/stack_sim): grid validation, exact agreement with
  * SetAssocCache on individual geometries under both write
  * policies, warmup-window equality with runCacheSim, exhausted
- * sources, and the dispatch eligibility predicate.
+ * sources, the dispatch eligibility predicate, and the `cache`
+ * kernel's sweeps against per-point runCacheSim.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "cache/stack_sim.hh"
 #include "cache/sweep.hh"
+#include "exp/scenarios.hh"
 #include "trace/generators.hh"
 
 namespace uatm {
@@ -186,6 +188,8 @@ TEST(StackSimulatorTest, MatchesSetAssocCachePerGeometry)
     for (const CacheConfig &config : configs)
         grid.addConfig(config);
 
+    // The caches track first touches themselves; the simulator
+    // reads them from the stream's flags.
     StackSimulator sim(grid);
     std::vector<SetAssocCache> caches;
     caches.reserve(configs.size());
@@ -193,15 +197,16 @@ TEST(StackSimulatorTest, MatchesSetAssocCachePerGeometry)
         caches.emplace_back(config);
 
     auto source = workingSetSource(17);
-    for (int i = 0; i < 6000; ++i) {
-        const auto ref = source->next();
-        ASSERT_TRUE(ref.has_value());
-        sim.access(*ref);
-        for (SetAssocCache &cache : caches)
-            cache.access(*ref);
-    }
+    streamTo(*source, 6000, grid.lineBytes, 0,
+             [&](const StreamBlock &block) {
+                 sim.feed(block);
+                 for (SetAssocCache &cache : caches)
+                     for (std::size_t i = 0; i < block.count; ++i)
+                         cache.access(block.refs[i]);
+             });
 
-    const GeometryHitSurface surface = sim.surface();
+    const GeometryHitSurface surface = sim.finish();
+    ASSERT_EQ(caches.front().stats().accesses, 6000u);
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const auto stats = surface.statsFor(configs[i]);
         ASSERT_TRUE(stats.ok()) << configs[i].describe();
@@ -225,13 +230,14 @@ TEST(StackSimulatorTest, MatchesWriteThroughCache)
     StackSimulator sim(grid);
     SetAssocCache cache(config);
     auto source = workingSetSource(23);
-    for (int i = 0; i < 5000; ++i) {
-        const auto ref = source->next();
-        ASSERT_TRUE(ref.has_value());
-        sim.access(*ref);
-        cache.access(*ref);
-    }
-    const auto stats = sim.surface().statsFor(config);
+    streamTo(*source, 5000, grid.lineBytes, 0,
+             [&](const StreamBlock &block) {
+                 sim.feed(block);
+                 for (std::size_t i = 0; i < block.count; ++i)
+                     cache.access(block.refs[i]);
+             });
+    ASSERT_EQ(cache.stats().accesses, 5000u);
+    const auto stats = sim.finish().statsFor(config);
     ASSERT_TRUE(stats.ok());
     expectStatsEqual(stats.value(), cache.stats(),
                      "write-through");
@@ -381,22 +387,29 @@ TEST(SweepDispatchTest, CountersTrackFastAndDeclinedSweeps)
     resetSweepDispatchStats();
     CacheConfig base;
     base.lineBytes = 32;
-    auto source = workingSetSource(11);
-    const std::vector<std::uint64_t> sizes = {4096, 8192};
+    exp::GeometrySweep spec;
+    spec.base = base;
+    spec.workload = exp::WorkloadSpec::custom(
+        "working-set", [] { return workingSetSource(11); });
+    spec.values = {4096, 8192};
+    spec.refs = 2000;
+    exp::Runner runner(exp::RunnerOptions{1});
 
-    sweepCacheSize(base, *source, sizes, 2000);
+    exp::runGeometrySweep(spec, runner);
     SweepDispatchCounters counters = sweepDispatchCounters();
     EXPECT_EQ(counters.fastPath, 1u);
     EXPECT_EQ(counters.declined, 0u);
 
-    CacheConfig fifo = base;
-    fifo.replacement = ReplacementKind::FIFO;
-    sweepCacheSize(fifo, *source, sizes, 2000);
+    spec.base.replacement = ReplacementKind::FIFO;
+    exp::runGeometrySweep(spec, runner);
     counters = sweepDispatchCounters();
     EXPECT_EQ(counters.fastPath, 1u);
     EXPECT_EQ(counters.declined, 1u);
 
-    sweepLineSize(base, *source, {16, 32}, 2000);
+    spec.base = base;
+    spec.axis = exp::GeometrySweep::Axis::Line;
+    spec.values = {16, 32};
+    exp::runGeometrySweep(spec, runner);
     counters = sweepDispatchCounters();
     EXPECT_EQ(counters.perPoint, 1u);
     resetSweepDispatchStats();
@@ -409,13 +422,16 @@ TEST(SweepFastPathTest, SweepCacheSizeMatchesBruteForce)
     base.lineBytes = 32;
     const std::vector<std::uint64_t> sizes = {1024, 4096, 16384,
                                               65536};
-    auto fast_source = workingSetSource(41);
-    const auto fast =
-        sweepCacheSize(base, *fast_source, sizes, 8000, 800);
+    resetSweepDispatchStats();
+    const auto fast = exp::sweepCacheSizeParallel(
+        base,
+        exp::WorkloadSpec::custom("working-set",
+                                  [] { return workingSetSource(41); }),
+        sizes, 8000, 800, 2);
+    EXPECT_EQ(sweepDispatchCounters().fastPath, 1u);
+    resetSweepDispatchStats();
 
-    // Brute force through a config the dispatcher must decline on
-    // (FIFO is LRU-identical only trivially, so instead rerun each
-    // point directly).
+    // Brute force: rerun each point directly.
     ASSERT_EQ(fast.size(), sizes.size());
     auto brute_source = workingSetSource(41);
     for (std::size_t i = 0; i < sizes.size(); ++i) {

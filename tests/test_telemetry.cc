@@ -471,21 +471,6 @@ TEST(RunnerTelemetry, FromJsonRejectsOutOfRangeIntegers)
     }
 }
 
-TEST(RunnerTelemetry, EnvVariableArmsTelemetry)
-{
-    setenv("UATM_RUNNER_TELEMETRY", "1", 1);
-    Runner runner(RunnerOptions{1});
-    runner.run(fourPointScenario(), {"x"}, trivialKernel());
-    unsetenv("UATM_RUNNER_TELEMETRY");
-    EXPECT_TRUE(runner.lastTelemetry().armed);
-
-    setenv("UATM_RUNNER_TELEMETRY", "0", 1);
-    Runner disarmed(RunnerOptions{1});
-    disarmed.run(fourPointScenario(), {"x"}, trivialKernel());
-    unsetenv("UATM_RUNNER_TELEMETRY");
-    EXPECT_FALSE(disarmed.lastTelemetry().armed);
-}
-
 TEST(RunnerTelemetry, StatsRegisterUnderPrefix)
 {
     RunnerOptions options;

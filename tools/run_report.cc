@@ -2,9 +2,9 @@
  * @file
  * Scaling-diagnosis report over runner telemetry.
  *
- * Consumes the RUNNER_*.json telemetry documents written by an
- * instrumented exp::Runner (UATM_RUNNER_TELEMETRY=1, UATM_TRACE,
- * or RunnerOptions::telemetry) and prints, per run, the per-worker
+ * Consumes the RUNNER_*.json telemetry documents that
+ * bench_sweep_parallel writes from its runners (armed through
+ * RunnerOptions::telemetry) and prints, per run, the per-worker
  * utilization bars, the load-imbalance index, parallel efficiency,
  * the per-worker hardware counter lanes (schema v2), and the top-K
  * slowest points; given runs at two or more distinct thread counts
